@@ -4,8 +4,7 @@ Row i = x*z + y of the expanded matrix maps to i' = x + y*a, and column
 j = x*z + y maps to j' = x + y*b.  For circulant expansion with maximum
 shift M, every nonzero of the permuted matrix H' lies in a band of
 subdiagonal height p = a(M+1) and width q = b(M+1), plus a wrap region in
-the bottom-left corner.  Indices here are top-left origin throughout;
-portrait output for plotting is plain `i j` coordinates.
+the bottom-left corner.  Indices here are top-left origin throughout.
 """
 
 from __future__ import annotations
@@ -65,16 +64,6 @@ class QCPermutation:
         return (jp % self.b) * self.z + jp // self.b
 
 
-def row_index_map(i: int, a: int, z: int) -> int:
-    if not 0 <= i < a * z:
-        raise ValueError("row index out of range")
-    return int(i // z + (i % z) * a)
-
-
-def row_index_unmap(ip: int, a: int, z: int) -> int:
-    return int((ip % a) * z + ip // a)
-
-
 def permute_matrix(H: SparseBinMatrix, perm: QCPermutation) -> SparseBinMatrix:
     """Apply the pseudo-band row/column permutation to a sparse matrix."""
     if H.m != perm.a * perm.z or H.n != perm.b * perm.z:
@@ -88,40 +77,23 @@ def permute_matrix(H: SparseBinMatrix, perm: QCPermutation) -> SparseBinMatrix:
     return SparseBinMatrix(H.m, H.n, indptr=indptr, indices=cp)
 
 
-def in_band(ip: int, jp: int, a: int, b: int, m: int, M: int) -> bool:
+def in_band(ip, jp, a: int, b: int, m: int, M: int):
     """Exact membership test for the pseudo-band region of H'.
 
     Integer arithmetic scaled by b: the entry (i', j') is potentially
     nonzero iff a(M+1) >= (a/b) j' - i' >= -a, or
-    i' - (a/b) j' >= m - a(M+1).
+    i' - (a/b) j' >= m - a(M+1).  Accepts scalars or index arrays.
     """
-    d = a * jp - b * ip  # b * ((a/b) j' - i')
-    if -a * b <= d <= a * b * (M + 1):
-        return True
-    return -d >= b * m - a * b * (M + 1)
-
-
-def _in_band_array(ip, jp, a, b, m, M):
-    d = a * jp.astype(np.int64) - b * ip.astype(np.int64)
+    # d = b * ((a/b) j' - i')
+    d = a * np.asarray(jp, dtype=np.int64) - b * np.asarray(ip, dtype=np.int64)
     first = (d >= -a * b) & (d <= a * b * (M + 1))
-    wrap = -d >= b * m - a * b * (M + 1)
-    return first | wrap
+    return first | (-d >= b * m - a * b * (M + 1))
 
 
 def verify_band(Hp: SparseBinMatrix, a: int, b: int, M: int) -> bool:
     """True iff every stored nonzero of the permuted matrix lies in the band."""
     rowid = np.repeat(np.arange(Hp.m), np.diff(Hp.indptr))
-    if rowid.size == 0:
-        return True
-    return bool(np.all(_in_band_array(rowid, Hp.indices, a, b, Hp.m, M)))
-
-
-def write_portrait(path, H: SparseBinMatrix):
-    """Sparse coordinate dump, one `i j` pair per line."""
-    rowid = np.repeat(np.arange(H.m), np.diff(H.indptr))
-    with open(path, "w") as f:
-        for i, j in zip(rowid, H.indices):
-            f.write(f"{i} {j}\n")
+    return bool(np.all(in_band(rowid, Hp.indices, a, b, Hp.m, M)))
 
 
 class PermutedCode:
@@ -133,7 +105,6 @@ class PermutedCode:
         sym_of_col: H' column index -> original symbol index.
         col_of_sym: original symbol index -> H' column index.
         row_orig: H' row index -> original row index.
-        col_rows: per H' column, array of H' row indices (adjacency).
         shape: BandShape of the underlying base matrix.
     """
 
@@ -149,7 +120,6 @@ class PermutedCode:
         ip = self.perm.row(np.arange(code.m))
         self.row_orig = np.empty(code.m, dtype=np.int64)
         self.row_orig[ip] = np.arange(code.m)
-        self.col_rows = self.hp.column_adjacency()
         self.shape = band_shape(base.a, base.b, base.M, m=code.m)
 
 

@@ -1,8 +1,10 @@
 """Command-line front end: code generation, encode/decode, experiment sweeps.
 
-Exit codes: 0 success, 2 usage error, 3 iterative decoding stalled with ML
-disabled, 4 residual system singular.  Set BANDFEC_JOBS to parallelize
-simulation trials; output is identical regardless of the job count.
+Exit codes: 0 success, 2 usage error (including a malformed code or symbol
+file), 3 iterative decoding stalled with ML disabled, 4 residual system
+singular, 5 decoded symbols inconsistent (a received symbol was corrupt).
+Set BANDFEC_JOBS to parallelize simulation trials; output is identical
+regardless of the job count.
 """
 
 from __future__ import annotations
@@ -16,8 +18,12 @@ from . import qc, sim
 from .band import band_shape
 from .codec import DecodeStatus, encode, hybrid_decode, read_symbols, write_symbols
 
-EXIT_IT_PARTIAL = 3
-EXIT_ML_SINGULAR = 4
+EXIT_CODES = {
+    DecodeStatus.SUCCESS: 0,
+    DecodeStatus.IT_PARTIAL: 3,
+    DecodeStatus.ML_SINGULAR: 4,
+    DecodeStatus.INCONSISTENT: 5,
+}
 
 _ENSEMBLES = {
     "band": "band",
@@ -41,8 +47,13 @@ def _check_config(parser, args):
     return rate
 
 
-def _parse_losses(spec: str):
-    lo, hi, step = (float(x) for x in spec.split(":"))
+def _parse_losses(parser, spec: str):
+    try:
+        lo, hi, step = (float(x) for x in spec.split(":"))
+    except ValueError:
+        parser.error(f"--losses {spec!r} is not lo:hi:step")
+    if not (np.isfinite([lo, hi, step]).all() and step > 0 and lo <= hi):
+        parser.error(f"--losses {spec!r} needs finite values, step > 0 and lo <= hi")
     out = []
     x = lo
     while x <= hi + 1e-9:
@@ -63,10 +74,13 @@ def cmd_gen(parser, args):
 
 
 def cmd_encode(parser, args):
-    code = qc.load_code(args.code)
+    try:
+        code = qc.load_code(args.code)
+        with open(args.infile, "rb") as f:
+            payload = f.read()
+    except (ValueError, OSError) as e:
+        parser.error(str(e))
     L = args.symbol_size
-    with open(args.infile, "rb") as f:
-        payload = f.read()
     need = code.k * L
     if len(payload) > need:
         parser.error(f"payload exceeds {need} bytes (k={code.k}, L={L})")
@@ -80,8 +94,11 @@ def cmd_encode(parser, args):
 
 
 def cmd_decode(parser, args):
-    code = qc.load_code(args.code)
-    n, k, L, present = read_symbols(args.infile)
+    try:
+        code = qc.load_code(args.code)
+        n, k, L, present = read_symbols(args.infile)
+    except (ValueError, OSError) as e:
+        parser.error(str(e))
     if (n, k) != (code.n, code.k):
         parser.error(f"symbol file is for n={n}, k={k}; code has n={code.n}, k={code.k}")
     out = hybrid_decode(code, present, L, allow_ml=not args.it_only)
@@ -91,18 +108,19 @@ def cmd_decode(parser, args):
     if out.status is DecodeStatus.SUCCESS:
         with open(args.out, "wb") as f:
             f.write(out.symbols[:code.k].tobytes())
-        return 0
-    if out.status is DecodeStatus.IT_PARTIAL:
-        return EXIT_IT_PARTIAL
-    return EXIT_ML_SINGULAR
+    return EXIT_CODES[out.status]
 
 
 def cmd_sim(parser, args):
     rate = _check_config(parser, args)
+    try:
+        sim.job_count()
+    except ValueError as e:
+        parser.error(str(e))
     ensemble = _ensemble_from_args(args)
     ks = [int(x) for x in args.ks.split(",")] if args.ks else [args.k]
     if args.losses:
-        losses = _parse_losses(args.losses)
+        losses = _parse_losses(parser, args.losses)
     else:
         losses = [args.loss]
     loss_fracs = [x / 100.0 for x in losses]

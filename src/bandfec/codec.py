@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import enum
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -46,6 +46,7 @@ class DecodeStatus(enum.Enum):
     SUCCESS = "success"
     IT_PARTIAL = "it_partial"
     ML_SINGULAR = "ml_singular"
+    INCONSISTENT = "inconsistent"  # solved symbols fail the syndrome check
 
 
 @dataclass
@@ -53,6 +54,8 @@ class DecodeOutcome:
     status: DecodeStatus
     symbols: np.ndarray | None  # (n, L) on success
     counter: OpCounter
+    residual_rows: int = 0  # m' of the residual system; 0 when peeling completes
+    residual_cols: int = 0  # n'
 
 
 @dataclass
@@ -147,14 +150,6 @@ class ReceptionState:
                 self.values[j] = self.row_acc[r]
             self._mark_known(j, count=True, counter=counter)
 
-    def unknown_symbols(self):
-        return np.nonzero(~self.known)[0]
-
-
-def it_decode(code: QCCode, state: ReceptionState, counter: OpCounter | None = None):
-    state.peel(counter)
-    return state
-
 
 @dataclass
 class ResidualSystem:
@@ -240,30 +235,15 @@ def back_substitute(sys: ResidualSystem, counter: OpCounter) -> np.ndarray:
     return rhs[:sys.ncols]
 
 
-def ml_decode(code: QCCode, pc: PermutedCode, state: ReceptionState,
-              counter: OpCounter) -> DecodeOutcome:
-    """Solve the residual system; success iff it has full column rank."""
-    sys = build_residual(code, pc, state)
-    if sys.ncols == 0:
-        status = DecodeStatus.SUCCESS if state.complete else DecodeStatus.IT_PARTIAL
-        return DecodeOutcome(status, state.values if state.complete else None, counter)
-    if not forward_eliminate(sys, counter):
-        return DecodeOutcome(DecodeStatus.ML_SINGULAR, None, counter)
-    sol = back_substitute(sys, counter)
-    state.known[sys.col_map] = True
-    state.n_known += sys.col_map.size
-    if state.L:
-        state.values[sys.col_map] = sol
-        assert syndrome_is_zero(code.H, state.values)
-    return DecodeOutcome(DecodeStatus.SUCCESS, state.values, counter)
-
-
 def hybrid_decode(code: QCCode, received, symbol_size: int,
                   allow_ml: bool = True) -> DecodeOutcome:
     """Iterative decoding first, ML on the residual if it stalls.
 
     *received* maps symbol index -> symbol bytes (values ignored when
-    symbol_size is 0).
+    symbol_size is 0).  ML succeeds iff the residual system has full
+    column rank; with payloads, the solved codeword must then also pass
+    the syndrome check, otherwise a received symbol was corrupt and the
+    status is INCONSISTENT.
     """
     state = ReceptionState(code, symbol_size)
     for j, v in received.items():
@@ -274,7 +254,16 @@ def hybrid_decode(code: QCCode, received, symbol_size: int,
         return DecodeOutcome(DecodeStatus.SUCCESS, state.values, counter)
     if not allow_ml:
         return DecodeOutcome(DecodeStatus.IT_PARTIAL, None, counter)
-    return ml_decode(code, permuted_code(code), state, counter)
+    sys = build_residual(code, permuted_code(code), state)
+    dims = (sys.nrows, sys.ncols)
+    if not forward_eliminate(sys, counter):
+        return DecodeOutcome(DecodeStatus.ML_SINGULAR, None, counter, *dims)
+    sol = back_substitute(sys, counter)
+    if state.L:
+        state.values[sys.col_map] = sol
+        if not syndrome_is_zero(code.H, state.values):
+            return DecodeOutcome(DecodeStatus.INCONSISTENT, None, counter, *dims)
+    return DecodeOutcome(DecodeStatus.SUCCESS, state.values, counter, *dims)
 
 
 # ---------------------------------------------------------------------------
@@ -311,5 +300,9 @@ def read_symbols(path):
             if len(chunk) != rec:
                 raise ValueError("truncated symbol record")
             j = int.from_bytes(chunk[:4], "big")
+            if j >= n:
+                raise ValueError(f"symbol index {j} out of range for n={n}")
+            if j in present:
+                raise ValueError(f"duplicate record for symbol {j}")
             present[j] = np.frombuffer(chunk[4:], dtype=np.uint8).copy()
     return n, k, L, present

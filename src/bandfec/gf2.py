@@ -14,15 +14,6 @@ import numpy as np
 _ONE = np.uint64(1)
 
 
-def xor_symbol(x, y):
-    """Byte-wise XOR of two equal-length symbol blocks."""
-    x = np.asarray(x, dtype=np.uint8)
-    y = np.asarray(y, dtype=np.uint8)
-    if x.shape != y.shape:
-        raise ValueError(f"symbol length mismatch: {x.shape} vs {y.shape}")
-    return x ^ y
-
-
 class SparseBinMatrix:
     """m x n binary matrix stored as sorted, duplicate-free column indices per row."""
 
@@ -49,10 +40,13 @@ class SparseBinMatrix:
         if self.indices.size:
             if self.indices.min() < 0 or self.indices.max() >= self.n:
                 raise ValueError("column index out of range")
-        for i in range(self.m):
-            r = self.row(i)
-            if r.size > 1 and not np.all(np.diff(r) > 0):
-                raise ValueError(f"row {i} indices not strictly increasing")
+        # a step that does not increase is legal only where a new row starts
+        bad = np.diff(self.indices) <= 0
+        starts = self.indptr[1:-1]
+        bad[starts[(starts > 0) & (starts < self.indices.size)] - 1] = False
+        if bad.any():
+            i = int(np.searchsorted(self.indptr, np.argmax(bad) + 1, side="right")) - 1
+            raise ValueError(f"row {i} indices not strictly increasing")
 
     def row(self, i):
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
@@ -178,24 +172,3 @@ def pack_pairs(m_rows, n_cols, row_idx, col_idx):
                          _ONE << (col_idx & 63).astype(np.uint64))
     return bits
 
-
-def packed_rank(bits, n_cols):
-    """Rank of a packed bit matrix (destructive on *bits*)."""
-    r = 0
-    m = bits.shape[0]
-    for c in range(n_cols):
-        if r >= m:
-            break
-        w, sh = divmod(c, 64)
-        col = (bits[r:, w] >> np.uint64(sh)) & _ONE
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            continue
-        piv = r + nz[0]
-        if piv != r:
-            bits[[r, piv]] = bits[[piv, r]]
-        tg = r + nz[1:]
-        if tg.size:
-            bits[tg] ^= bits[r]
-        r += 1
-    return r

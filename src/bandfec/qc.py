@@ -233,12 +233,19 @@ def read_base_matrix(path):
     """Returns (BaseMatrix, ExpansionSpec)."""
     with open(path) as f:
         head = f.readline().split()
+        if len(head) != 7:
+            raise ValueError(f"base-matrix header needs 7 fields, got {len(head)}")
         a, b, M, z = (int(x) for x in head[:4])
         mode = head[4]
         last_stair = bool(int(head[5]))
         seed = int(head[6])
-        entries = np.array([[int(v) for v in f.readline().split()]
-                            for _ in range(a)], dtype=np.int64)
+        rows = [line.split() for line in f if line.strip()]
+    if len(rows) != a:
+        raise ValueError(f"base matrix needs {a} rows, got {len(rows)}")
+    for i, row in enumerate(rows):
+        if len(row) != b:
+            raise ValueError(f"base-matrix row {i} needs {b} entries, got {len(row)}")
+    entries = np.array([[int(v) for v in row] for row in rows], dtype=np.int64)
     base = BaseMatrix(a=a, b=b, M=M, entries=entries)
     spec = ExpansionSpec(z=z, mode=mode, last_block_staircase=last_stair, seed=seed)
     return base, spec

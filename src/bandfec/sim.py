@@ -22,20 +22,9 @@ import numpy as np
 from .gf2 import pack_pairs
 from .qc import EnsembleSpec, QCCode, make_code
 from .band import PermutedCode, permuted_code
-from .codec import (DecodeStatus, OpCounter, ReceptionState, back_substitute,
-                    build_residual, forward_eliminate, ml_decode)
+from .codec import DecodeStatus, OpCounter, ReceptionState, hybrid_decode
 
 _ONE = np.uint64(1)
-
-
-@dataclass(frozen=True)
-class ChannelSpec:
-    p_loss: float
-    seed: int = 0
-
-    def __post_init__(self):
-        if not 0.0 <= self.p_loss <= 1.0:
-            raise ValueError("p_loss must be in [0, 1]")
 
 
 @dataclass
@@ -60,19 +49,6 @@ class CurvePoint:
     trials: int
 
 
-def erase(code: QCCode, codeword, channel: ChannelSpec) -> ReceptionState:
-    """Memoryless erasure channel: each symbol lost independently with p_loss."""
-    symbols = np.atleast_2d(np.asarray(codeword, dtype=np.uint8))
-    if symbols.shape[0] != code.n:
-        raise ValueError("codeword length mismatch")
-    rng = np.random.default_rng([int(channel.seed), 3])
-    lost = rng.random(code.n) < channel.p_loss
-    state = ReceptionState(code, symbols.shape[1])
-    for j in np.nonzero(~lost)[0]:
-        state.receive(int(j), symbols[j])
-    return state
-
-
 def reception_order(n: int, rng) -> np.ndarray:
     """Uniform random transmission order of the n symbols."""
     return rng.permutation(n)
@@ -90,11 +66,14 @@ def minimal_ml_reception(code: QCCode, pc: PermutedCode, order) -> int:
     """
     n, m, k = code.n, code.m, code.k
     N = n - k  # decoding cannot complete with fewer than k symbols
-    syms = order[k:][::-1]
-    parts = [pc.col_rows[pc.col_of_sym[j]] for j in syms]
-    rowi = np.repeat(np.arange(N), [len(p) for p in parts])
-    coli = np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
-    bits = pack_pairs(N, m, rowi, coli)
+    # row i of the packed matrix is the H' column of symbol order[n-1-i]
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[pc.col_of_sym[order[k:][::-1]]] = np.arange(N)
+    hp = pc.hp
+    rowid = np.repeat(np.arange(m), np.diff(hp.indptr))
+    pos_nz = pos[hp.indices]
+    tail = pos_nz >= 0
+    bits = pack_pairs(N, m, pos_nz[tail], rowid[tail])
     not_pivot = np.ones(N, dtype=bool)
     for c in range(m):
         w, sh = divmod(c, 64)
@@ -139,48 +118,20 @@ def inefficiency_trial(ensemble: EnsembleSpec, k: int, seed: int,
     order = reception_order(code.n, np.random.default_rng([int(seed), 2]))
     t_ml = minimal_ml_reception(code, pc, order)
     t_it = it_completion_time(code, order)
-    counter = OpCounter()
-    state = ReceptionState(code, 0)
-    for j in order[:t_ml]:
-        state.receive(int(j))
-    state.peel(counter)
-    mp = npp = 0
-    if state.complete:
-        status = DecodeStatus.SUCCESS
-    else:
-        sys = build_residual(code, pc, state)
-        mp, npp = sys.nrows, sys.ncols
-        if forward_eliminate(sys, counter):
-            back_substitute(sys, counter)
-            status = DecodeStatus.SUCCESS
-        else:
-            status = DecodeStatus.ML_SINGULAR
+    out = hybrid_decode(code, {int(j): None for j in order[:t_ml]}, 0)
     return TrialResult(it_inefficiency=t_it / k, ml_inefficiency=t_ml / k,
-                       counter=counter, status=status,
-                       residual_rows=mp, residual_cols=npp)
-
-
-def _pattern_decode(code: QCCode, erased) -> tuple[DecodeStatus, OpCounter]:
-    """Hybrid decode of an erasure pattern (no payloads), with op counts."""
-    counter = OpCounter()
-    state = ReceptionState(code, 0)
-    mask = np.ones(code.n, dtype=bool)
-    mask[erased] = False
-    for j in np.nonzero(mask)[0]:
-        state.receive(int(j))
-    state.peel(counter)
-    if state.complete:
-        return DecodeStatus.SUCCESS, counter
-    out = ml_decode(code, permuted_code(code), state, counter)
-    return out.status, counter
+                       counter=out.counter, status=out.status,
+                       residual_rows=out.residual_rows,
+                       residual_cols=out.residual_cols)
 
 
 def _loss_trial(ensemble, k, b, a, loss, seed):
+    """Hybrid decode (no payloads) with round(loss*n) random symbols erased."""
     code = make_code(ensemble, k, b=b, a=a, seed=seed)
     n_erased = int(round(loss * code.n))
     order = reception_order(code.n, np.random.default_rng([int(seed), 2]))
-    status, counter = _pattern_decode(code, order[:n_erased])
-    return status is DecodeStatus.SUCCESS, counter
+    out = hybrid_decode(code, {int(j): None for j in order[n_erased:]}, 0)
+    return out.status is DecodeStatus.SUCCESS, out.counter
 
 
 def trial_seed(master_seed: int, *tags) -> int:
@@ -189,8 +140,20 @@ def trial_seed(master_seed: int, *tags) -> int:
     return int(ss.generate_state(1)[0])
 
 
+def job_count() -> int:
+    """Worker processes for sweeps, from BANDFEC_JOBS (default 1)."""
+    raw = os.environ.get("BANDFEC_JOBS", "1")
+    try:
+        jobs = int(raw)
+    except ValueError:
+        jobs = 0
+    if jobs < 1:
+        raise ValueError(f"BANDFEC_JOBS must be an integer >= 1, got {raw!r}")
+    return jobs
+
+
 def _pmap(fn, argss):
-    jobs = int(os.environ.get("BANDFEC_JOBS", "1"))
+    jobs = job_count()
     if jobs > 1 and len(argss) > 1:
         with Pool(jobs) as pool:
             return pool.starmap(fn, argss)

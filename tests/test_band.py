@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from bandfec.band import (QCPermutation, band_shape, in_band, permute_matrix,
-                          permuted_code, row_index_map, row_index_unmap,
-                          verify_band)
+                          permuted_code, verify_band)
 from bandfec.gf2 import SparseBinMatrix
 from bandfec.qc import EnsembleSpec, make_code
 
@@ -30,8 +29,9 @@ class TestPermutation:
     def test_hand_values(self):
         perm = QCPermutation(a=2, b=3, z=4)
         # i = x*z + y -> x + y*a
-        assert row_index_map(0, 2, 4) == 0
-        assert row_index_map(5, 2, 4) == 1 + 1 * 2  # x=1, y=1
+        assert int(perm.row(0)) == 0
+        assert int(perm.row(5)) == 1 + 1 * 2        # x=1, y=1
+        assert int(perm.row_inv(3)) == 5
         assert int(perm.col(4)) == 1 + 0 * 3        # j=4: x=1, y=0
         assert int(perm.col(3)) == 0 + 3 * 3        # j=3: x=0, y=3
 
@@ -43,7 +43,7 @@ class TestPermutation:
         assert np.array_equal(perm.row_inv(perm.row(rows)), rows)
         assert np.array_equal(perm.col_inv(perm.col(cols)), cols)
         for i in range(5 * 7):
-            assert row_index_unmap(row_index_map(i, 5, 7), 5, 7) == i
+            assert int(perm.row_inv(int(perm.row(i)))) == i
 
     def test_range_checks(self):
         perm = QCPermutation(a=2, b=3, z=4)
@@ -52,7 +52,9 @@ class TestPermutation:
         with pytest.raises(ValueError):
             perm.col(np.array([0, 12]))
         with pytest.raises(ValueError):
-            row_index_map(-1, 2, 4)
+            perm.row(-1)
+        with pytest.raises(ValueError):
+            perm.row_inv(8)
 
 
 class TestPermuteMatrix:
@@ -82,6 +84,8 @@ class TestInBand:
         for jp in range(0, 150, 7):
             ip = (a * jp) // b  # on the band diagonal
             assert in_band(ip, jp, a, b, m, M)
+        jp = np.arange(0, 150, 7)
+        assert in_band((a * jp) // b, jp, a, b, m, M).all()
 
     def test_below_band_excluded(self):
         a, b, M, m = 5, 15, 2, 1000
@@ -133,9 +137,3 @@ class TestPermutedCode:
         code = make_code(EnsembleSpec("band"), 450, seed=2)
         assert permuted_code(code) is permuted_code(code)
 
-    def test_col_rows_adjacency(self):
-        code = make_code(EnsembleSpec("band"), 240, seed=6)
-        pc = permuted_code(code)
-        dp = pc.hp.to_dense()
-        for jp in range(0, code.n, 37):
-            assert np.array_equal(pc.col_rows[jp], np.nonzero(dp[:, jp])[0])

@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bandfec
 from bandfec.cli import main
 from bandfec.codec import read_symbols, write_symbols
 from bandfec.qc import load_code
@@ -8,6 +14,14 @@ from bandfec.qc import load_code
 
 def run(argv):
     return main([str(a) for a in argv])
+
+
+def usage_error(argv, capsys):
+    """Run a command that must fail as a usage error; returns its message."""
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    assert exc.value.code == 2
+    return capsys.readouterr().err.strip().splitlines()[-1]
 
 
 class TestGen:
@@ -88,6 +102,65 @@ class TestEncodeDecode:
         assert run(["decode", "--code", code_file, "--in", tmp_path / "lossy.bin",
                     "--out", tmp_path / "out.bin"]) == 4
 
+    def test_corrupt_symbol_exits_5(self, tmp_path, code_file, capsys):
+        (tmp_path / "in.bin").write_bytes(b"w" * 200)
+        run(["encode", "--code", code_file, "--in", tmp_path / "in.bin",
+             "--out", tmp_path / "syms.bin", "--symbol-size", "8"])
+        n, k, L, present = read_symbols(tmp_path / "syms.bin")
+        rng = np.random.default_rng(3)
+        for j in rng.choice(n, size=int(0.3 * n), replace=False):
+            del present[int(j)]
+        present[min(present)][0] ^= 1
+        write_symbols(tmp_path / "bad.bin", n, k, L, present)
+        assert run(["decode", "--code", code_file, "--in", tmp_path / "bad.bin",
+                    "--out", tmp_path / "out.bin"]) == 5
+        assert "status=inconsistent" in capsys.readouterr().out
+        assert not (tmp_path / "out.bin").exists()
+
+    def encoded(self, tmp_path, code_file):
+        (tmp_path / "in.bin").write_bytes(b"v" * 64)
+        run(["encode", "--code", code_file, "--in", tmp_path / "in.bin",
+             "--out", tmp_path / "syms.bin", "--symbol-size", "4"])
+        return read_symbols(tmp_path / "syms.bin")
+
+    def test_symbol_index_out_of_range(self, tmp_path, code_file, capsys):
+        n, k, L, present = self.encoded(tmp_path, code_file)
+        present[n + 5] = present[0]
+        write_symbols(tmp_path / "bad.bin", n, k, L, present)
+        msg = usage_error(["decode", "--code", code_file, "--in", tmp_path / "bad.bin",
+                           "--out", tmp_path / "out.bin"], capsys)
+        assert f"symbol index {n + 5} out of range" in msg
+
+    def test_duplicate_symbol_record(self, tmp_path, code_file, capsys):
+        self.encoded(tmp_path, code_file)
+        data = (tmp_path / "syms.bin").read_bytes()
+        record = data[data.index(b"\n") + 1:][:4 + 4]  # symbol 0, L=4
+        (tmp_path / "bad.bin").write_bytes(data + record)
+        msg = usage_error(["decode", "--code", code_file, "--in", tmp_path / "bad.bin",
+                           "--out", tmp_path / "out.bin"], capsys)
+        assert "duplicate record for symbol 0" in msg
+
+    def test_missing_code_file(self, tmp_path, code_file, capsys):
+        self.encoded(tmp_path, code_file)
+        msg = usage_error(["decode", "--code", tmp_path / "nope.txt",
+                           "--in", tmp_path / "syms.bin", "--out", tmp_path / "o.bin"],
+                          capsys)
+        assert "nope.txt" in msg
+
+    @pytest.mark.parametrize("edit,expect", [
+        (lambda lines: [lines[0].rsplit(" ", 1)[0]] + lines[1:], "header needs 7 fields"),
+        (lambda lines: lines[:-1], "needs 5 rows, got 4"),
+        (lambda lines: lines[:2] + [lines[2] + " 0"] + lines[3:], "row 1 needs 15 entries"),
+    ], ids=["short-header", "missing-row", "long-row"])
+    def test_malformed_code_file(self, tmp_path, code_file, capsys, edit, expect):
+        lines = code_file.read_text().splitlines()
+        bad = tmp_path / "bad.txt"
+        bad.write_text("\n".join(edit(lines)) + "\n")
+        (tmp_path / "in.bin").write_bytes(b"u")
+        msg = usage_error(["encode", "--code", bad, "--in", tmp_path / "in.bin",
+                           "--out", tmp_path / "syms.bin"], capsys)
+        assert expect in msg
+
     def test_payload_too_large(self, tmp_path, code_file):
         (tmp_path / "in.bin").write_bytes(b"z" * (240 * 4 + 1))
         with pytest.raises(SystemExit) as exc:
@@ -128,6 +201,30 @@ class TestSim:
                  "--out", tmp_path / name])
             outs.append((tmp_path / name).read_bytes())
         assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("value", ["x", "0"])
+    def test_bad_jobs_env(self, monkeypatch, capsys, value):
+        # rejected before any worker pool is created
+        monkeypatch.setenv("BANDFEC_JOBS", value)
+        msg = usage_error(["sim", "bler", "--k", "240", "--loss", "10",
+                           "--trials", "2"], capsys)
+        assert "BANDFEC_JOBS" in msg
+
+    def test_losses_reversed(self, capsys):
+        msg = usage_error(["sim", "bler", "--k", "240", "--losses", "31:30:1",
+                           "--trials", "2"], capsys)
+        assert "lo <= hi" in msg
+
+    def test_losses_zero_step(self):
+        # a zero step used to loop forever, so run it where a timeout can stop it
+        src = Path(bandfec.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-m", "bandfec.cli", "sim", "bler", "--k", "240",
+             "--losses", "30:31:0", "--trials", "2"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 2
+        assert "step > 0" in proc.stderr
 
     def test_constant_band_alias(self, capsys):
         assert run(["sim", "bler", "--ensemble", "constant-band", "--k", "2000",

@@ -1,11 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import bandfec
 from bandfec.band import in_band, permuted_code
 from bandfec.codec import (DecodeStatus, OpCounter, ReceptionState,
                            ResidualSystem, back_substitute, build_residual,
-                           encode, forward_eliminate, hybrid_decode, it_decode,
-                           ml_decode, read_symbols, write_symbols)
+                           encode, forward_eliminate, hybrid_decode,
+                           read_symbols, write_symbols)
 from bandfec.gf2 import (SparseBinMatrix, dense_solve_oracle, pack_pairs,
                          rank_oracle, syndrome_is_zero)
 from bandfec.qc import (BaseMatrix, EnsembleSpec, ExpansionSpec, QCCode,
@@ -72,7 +78,7 @@ class TestPeeling:
         state = ReceptionState(code, 1)
         state.receive(1, np.array([9], np.uint8))
         counter = OpCounter()
-        it_decode(code, state, counter)
+        state.peel(counter)
         assert state.complete
         assert counter.it_ops == 2 and counter.ml_ops == 0
 
@@ -81,7 +87,7 @@ class TestPeeling:
         state = ReceptionState(code, 0)
         state.peel()
         assert not state.complete
-        assert set(state.unknown_symbols()) == {0, 1}
+        assert set(np.flatnonzero(~state.known)) == {0, 1}
 
     def test_received_symbols_free(self):
         code = make_code(EnsembleSpec("band"), 240, seed=4)
@@ -125,7 +131,7 @@ class TestPeeling:
                 state.receive(int(j))
             c = OpCounter()
             state.peel(c)
-            outs.append((c.it_ops, tuple(state.unknown_symbols())))
+            outs.append((c.it_ops, tuple(np.flatnonzero(~state.known))))
         assert outs[0] == outs[1]
 
 
@@ -196,16 +202,22 @@ class TestElimination:
                 agree += 1
 
 
+def received_after_loss(code, loss, seed, cw=None):
+    """Symbols left after erasing int(loss*n) at random, in index order."""
+    rng = np.random.default_rng(seed)
+    lost = rng.choice(code.n, size=int(loss * code.n), replace=False)
+    mask = np.ones(code.n, dtype=bool)
+    mask[lost] = False
+    return {int(j): cw.symbols[j] if cw is not None else None
+            for j in np.nonzero(mask)[0]}
+
+
 class TestResidual:
     @staticmethod
     def stalled_state(code, loss, seed, L=0, cw=None):
-        rng = np.random.default_rng(seed)
-        lost = rng.choice(code.n, size=int(loss * code.n), replace=False)
         state = ReceptionState(code, L)
-        mask = np.ones(code.n, dtype=bool)
-        mask[lost] = False
-        for j in np.nonzero(mask)[0]:
-            state.receive(int(j), cw.symbols[j] if cw is not None else None)
+        for j, v in received_after_loss(code, loss, seed, cw).items():
+            state.receive(j, v)
         state.peel()
         return state
 
@@ -247,9 +259,10 @@ class TestResidual:
         assert state.complete
         sys = build_residual(code, permuted_code(code), state)
         assert sys.ncols == 0
-        out = ml_decode(code, permuted_code(code), state, OpCounter())
+        out = hybrid_decode(code, received_after_loss(code, 0.02, 8), 0)
         assert out.status is DecodeStatus.SUCCESS
         assert out.counter.ml_ops == 0
+        assert (out.residual_rows, out.residual_cols) == (0, 0)
 
 
 class TestMLDecode:
@@ -257,18 +270,18 @@ class TestMLDecode:
         code = make_code(EnsembleSpec("band"), 960, seed=10)
         rng = np.random.default_rng(9)
         _, cw = random_codeword(code, 4, rng)
-        state = TestResidual.stalled_state(code, 0.30, 9, L=4, cw=cw)
-        assert not state.complete
-        out = ml_decode(code, permuted_code(code), state, OpCounter())
+        out = hybrid_decode(code, received_after_loss(code, 0.30, 9, cw), 4)
         assert out.status is DecodeStatus.SUCCESS
+        assert out.residual_rows >= out.residual_cols > 0  # peeling stalled
         assert np.array_equal(out.symbols, cw.symbols)
 
     def test_singular_leaves_state(self):
+        # nothing received: both symbols unknown, the 2x2 residual has rank 1
         code = all_ones_2x2_code()
-        state = ReceptionState(code, 0)
-        out = ml_decode(code, permuted_code(code), state, OpCounter())
+        out = hybrid_decode(code, {}, 1)
         assert out.status is DecodeStatus.ML_SINGULAR
-        assert state.n_known == 0
+        assert out.symbols is None
+        assert (out.residual_rows, out.residual_cols) == (2, 2)
 
     def test_success_iff_full_column_rank(self):
         # verdict must agree with an independent rank computation
@@ -279,17 +292,49 @@ class TestMLDecode:
             state = TestResidual.stalled_state(code, 0.33, t)
             if state.complete:
                 continue
-            pc = permuted_code(code)
-            sys = build_residual(code, pc, state)
+            sys = build_residual(code, permuted_code(code), state)
             want = rank_oracle(sys.to_sparse()) == sys.ncols
-            out = ml_decode(code, pc, state, OpCounter())
+            out = hybrid_decode(code, received_after_loss(code, 0.33, t), 0)
             got = out.status is DecodeStatus.SUCCESS
             assert got == want
             verdicts.add(got)
         assert verdicts == {True, False}  # both branches exercised
 
 
+def flipped_bit_decode():
+    """Band k=2000, 28% loss, L=64, one received symbol with one bit flipped.
+
+    The corrupt symbol sits in a stalled decode, so ML elimination solves
+    the residual from it; only the syndrome check can tell.
+    """
+    code = make_code(EnsembleSpec("band"), 2000, seed=5)
+    rng = np.random.default_rng(7)
+    _, cw = random_codeword(code, 64, rng)
+    lost = set(rng.permutation(code.n)[:round(0.28 * code.n)].tolist())
+    received = {j: cw.symbols[j].copy() for j in range(code.n) if j not in lost}
+    received[min(received)][0] ^= 1
+    return hybrid_decode(code, received, 64)
+
+
 class TestHybridDecode:
+    def test_corrupt_symbol_inconsistent(self):
+        out = flipped_bit_decode()
+        assert out.status is DecodeStatus.INCONSISTENT
+        assert out.symbols is None
+        assert out.counter.ml_ops > 0
+        # the check must survive python -O, which strips assert statements
+        here = Path(__file__).resolve().parent
+        src = Path(bandfec.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(here)]))
+        script = ("import sys\n"
+                  "if not sys.flags.optimize: sys.exit('asserts are on')\n"
+                  "from test_codec import flipped_bit_decode\n"
+                  "print(flipped_bit_decode().status.value)")
+        proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["inconsistent"]
+
     def test_roundtrip_with_ml(self):
         code = make_code(EnsembleSpec("band"), 960, seed=11)
         rng = np.random.default_rng(11)

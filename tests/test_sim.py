@@ -5,39 +5,10 @@ from bandfec.band import permuted_code
 from bandfec.codec import DecodeStatus, OpCounter
 from bandfec.gf2 import SparseBinMatrix, rank_oracle
 from bandfec.qc import EnsembleSpec, make_code
-from bandfec.sim import (ChannelSpec, bler_sweep, erase, fit_loglog_slope,
-                         format_rows, ineff_sweep, inefficiency_trial,
-                         it_completion_time, minimal_ml_reception, ops_vs_k,
-                         ops_vs_loss, reception_order, trial_seed, write_csv,
-                         _loss_trial)
-
-
-class TestErase:
-    def test_extremes(self):
-        code = make_code(EnsembleSpec("band"), 240, seed=0)
-        cw = np.zeros((code.n, 1), dtype=np.uint8)
-        assert erase(code, cw, ChannelSpec(0.0, seed=1)).n_known == code.n
-        assert erase(code, cw, ChannelSpec(1.0, seed=1)).n_known == 0
-
-    def test_loss_count_binomial(self):
-        code = make_code(EnsembleSpec("band"), 960, seed=0)
-        cw = np.zeros((code.n, 1), dtype=np.uint8)
-        p = 0.3
-        sigma = np.sqrt(code.n * p * (1 - p))
-        losses = [code.n - erase(code, cw, ChannelSpec(p, seed=s)).n_known
-                  for s in range(30)]
-        assert abs(np.mean(losses) - p * code.n) < 3 * sigma / np.sqrt(len(losses))
-
-    def test_seed_reproducible(self):
-        code = make_code(EnsembleSpec("band"), 240, seed=0)
-        cw = np.zeros((code.n, 1), dtype=np.uint8)
-        a = erase(code, cw, ChannelSpec(0.4, seed=7)).known
-        b = erase(code, cw, ChannelSpec(0.4, seed=7)).known
-        assert np.array_equal(a, b)
-
-    def test_p_validated(self):
-        with pytest.raises(ValueError):
-            ChannelSpec(1.5)
+from bandfec.sim import (bler_sweep, fit_loglog_slope, format_rows,
+                         ineff_sweep, inefficiency_trial, it_completion_time,
+                         minimal_ml_reception, ops_vs_k, ops_vs_loss,
+                         reception_order, trial_seed, write_csv, _loss_trial)
 
 
 class TestReceptionOrder:
@@ -135,6 +106,36 @@ class TestLossTrials:
         for seed in range(3):
             order = reception_order(code.n, np.random.default_rng([seed, 2]))
             assert order.size == code.n
+
+
+class TestRecordedResults:
+    """Literal results recorded before the decode pipeline was unified.
+
+    Op counts, residual sizes and inefficiencies are pure functions of the
+    seed, so any refactor of the decode path must reproduce them exactly.
+    """
+
+    S = DecodeStatus.SUCCESS
+
+    @pytest.mark.parametrize("kind,k,seed,want", [
+        ("band", 2000, 11, (S, 248, 23043, 9445, 934, 933, 1.0045, 1.082)),
+        ("unconstrained", 600, 12, (S, 101, 5014, 3478, 277, 274, 604 / 600, 1.11)),
+        ("protograph", 600, 13, (S, 81, 4445, 3939, 276, 276, 1.01, 1.125)),
+    ])
+    def test_inefficiency_trial(self, kind, k, seed, want):
+        r = inefficiency_trial(EnsembleSpec(kind), k, seed)
+        c = r.counter
+        assert (r.status, c.it_ops, c.fe_ops, c.bs_ops, r.residual_rows,
+                r.residual_cols, r.ml_inefficiency, r.it_inefficiency) == want
+
+    @pytest.mark.parametrize("loss,want", [
+        (0.20, (True, 726, 0, 0)),        # peeling completes
+        (0.30, (True, 179, 2928, 1395)),  # peeling stalls, ML solves
+        (0.40, (False, 42, 2598, 0)),     # residual singular
+    ])
+    def test_loss_trial(self, loss, want):
+        ok, c = _loss_trial(EnsembleSpec("band"), 600, 15, 5, loss, 21)
+        assert (ok, c.it_ops, c.fe_ops, c.bs_ops) == want
 
 
 class TestSweeps:
