@@ -112,14 +112,9 @@ class PermutedCode:
         base, z = code.base, code.spec.z
         self.perm = QCPermutation(base.a, base.b, z)
         self.hp = permute_matrix(code.H, self.perm)
-        n = code.n
-        jp = self.perm.col(np.arange(n))
-        self.col_of_sym = jp
-        self.sym_of_col = np.empty(n, dtype=np.int64)
-        self.sym_of_col[jp] = np.arange(n)
-        ip = self.perm.row(np.arange(code.m))
-        self.row_orig = np.empty(code.m, dtype=np.int64)
-        self.row_orig[ip] = np.arange(code.m)
+        self.col_of_sym = self.perm.col(np.arange(code.n))
+        self.sym_of_col = self.perm.col_inv(np.arange(code.n))
+        self.row_orig = self.perm.row_inv(np.arange(code.m))
         self.shape = band_shape(base.a, base.b, base.M, m=code.m)
 
 

@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 usage error (including a malformed code or symbol
 file), 3 iterative decoding stalled with ML disabled, 4 residual system
-singular, 5 decoded symbols inconsistent (a received symbol was corrupt).
+singular, 5 decoded symbols inconsistent (a received symbol was corrupt),
+whether peeling alone or ML elimination decoded them.
 Set BANDFEC_JOBS to parallelize simulation trials; output is identical
 regardless of the job count.
 """
@@ -33,18 +34,21 @@ _ENSEMBLES = {
 }
 
 
-def _ensemble_from_args(args) -> qc.EnsembleSpec:
-    return qc.EnsembleSpec(kind=_ENSEMBLES[args.ensemble], C=args.c_const, M0=args.m0)
-
-
-def _check_config(parser, args):
-    if args.k % (args.b - args.a) != 0:
-        parser.error(f"k={args.k} not divisible by b-a={args.b - args.a}")
+def _check_config(parser, args, ks):
+    """Build the code for every k, so that any value the library rejects is a
+    usage error; returns (ensemble, code at the last k, rate)."""
+    try:
+        ensemble = qc.EnsembleSpec(kind=_ENSEMBLES[args.ensemble], C=args.c_const,
+                                   M0=args.m0)
+        for k in ks:
+            code = qc.make_code(ensemble, k, b=args.b, a=args.a, seed=args.seed)
+    except ValueError as e:
+        parser.error(str(e))
     rate = (args.b - args.a) / args.b
     if args.rate is not None and abs(args.rate - rate) > 1e-9:
         parser.error(f"--rate {args.rate} conflicts with a={args.a}, b={args.b} "
                      f"(derived rate {rate:.6g})")
-    return rate
+    return ensemble, code, rate
 
 
 def _parse_losses(parser, spec: str):
@@ -63,9 +67,7 @@ def _parse_losses(parser, spec: str):
 
 
 def cmd_gen(parser, args):
-    _check_config(parser, args)
-    ensemble = _ensemble_from_args(args)
-    code = qc.make_code(ensemble, args.k, b=args.b, a=args.a, seed=args.seed)
+    _, code, _ = _check_config(parser, args, [args.k])
     qc.write_base_matrix(args.out, code)
     shape = band_shape(args.a, args.b, code.base.M, m=code.m)
     print(f"z={code.spec.z} M={code.base.M} p={shape.p} q={shape.q} "
@@ -81,6 +83,8 @@ def cmd_encode(parser, args):
     except (ValueError, OSError) as e:
         parser.error(str(e))
     L = args.symbol_size
+    if L < 1:
+        parser.error(f"--symbol-size {L} must be >= 1")
     need = code.k * L
     if len(payload) > need:
         parser.error(f"payload exceeds {need} bytes (k={code.k}, L={L})")
@@ -112,17 +116,24 @@ def cmd_decode(parser, args):
 
 
 def cmd_sim(parser, args):
-    rate = _check_config(parser, args)
+    try:
+        ks = [int(x) for x in args.ks.split(",")] if args.ks else [args.k]
+    except ValueError:
+        parser.error(f"--ks {args.ks!r} is not a comma-separated list of integers")
+    used = ks if args.experiment in ("ineff", "ops-k") else [args.k]
+    ensemble, _, rate = _check_config(parser, args, used)
+    if args.trials < 1:
+        parser.error(f"--trials {args.trials} must be >= 1")
     try:
         sim.job_count()
     except ValueError as e:
         parser.error(str(e))
-    ensemble = _ensemble_from_args(args)
-    ks = [int(x) for x in args.ks.split(",")] if args.ks else [args.k]
     if args.losses:
         losses = _parse_losses(parser, args.losses)
     else:
         losses = [args.loss]
+    if not 0 <= min(losses) <= max(losses) <= 100:
+        parser.error("loss percentages must lie in [0, 100]")
     loss_fracs = [x / 100.0 for x in losses]
     rows = []
     if args.experiment == "ineff":

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import SparseBinMatrix, pack_pairs, syndrome_is_zero
+from .gf2 import SparseBinMatrix, pack_pairs
 from .qc import QCCode
 from .band import PermutedCode, permuted_code
 
@@ -46,7 +46,7 @@ class DecodeStatus(enum.Enum):
     SUCCESS = "success"
     IT_PARTIAL = "it_partial"
     ML_SINGULAR = "ml_singular"
-    INCONSISTENT = "inconsistent"  # solved symbols fail the syndrome check
+    INCONSISTENT = "inconsistent"  # decoded symbols fail a parity check
 
 
 @dataclass
@@ -121,16 +121,16 @@ class ReceptionState:
             return
         if self.L:
             self.values[j] = value
-        self._mark_known(j, count=False, counter=None)
+        self._mark_known(j, counter=None)
 
-    def _mark_known(self, j, count, counter):
+    def _mark_known(self, j, counter):
         self.known[j] = True
         self.n_known += 1
         rows = self.col_rows[j]
         if self.L:
             self.row_acc[rows] ^= self.values[j]
         self.row_unknown[rows] -= 1
-        if count and counter is not None:
+        if counter is not None:
             counter.it_ops += len(rows)
         for r in rows:
             if self.row_unknown[r] == 1:
@@ -148,7 +148,7 @@ class ReceptionState:
             j = cols[~self.known[cols]][0]
             if self.L:
                 self.values[j] = self.row_acc[r]
-            self._mark_known(j, count=True, counter=counter)
+            self._mark_known(j, counter=counter)
 
 
 @dataclass
@@ -179,16 +179,14 @@ def build_residual(code: QCCode, pc: PermutedCode, state: ReceptionState) -> Res
     """Assemble the residual system in H' row/column order after an IT stall."""
     hp = pc.hp
     unknown_hp = ~state.known[pc.sym_of_col]
-    keep = unknown_hp[hp.indices]
-    row_cnt = np.add.reduceat(keep, hp.indptr[:-1]) if hp.nnz else np.zeros(hp.m, int)
-    rows_sel = np.nonzero(row_cnt > 0)[0]
+    rows_sel = np.nonzero(state.row_unknown[pc.row_orig] > 0)[0]
     ncols = int(unknown_hp.sum())
     newcol = np.cumsum(unknown_hp) - 1
     rmap = np.full(hp.m, -1, dtype=np.int64)
     rmap[rows_sel] = np.arange(rows_sel.size)
     rowid = np.repeat(np.arange(hp.m), np.diff(hp.indptr))
-    sel = keep  # kept nonzeros necessarily sit in selected rows
-    bits = pack_pairs(rows_sel.size, ncols, rmap[rowid[sel]], newcol[hp.indices[sel]])
+    keep = unknown_hp[hp.indices]  # kept nonzeros necessarily sit in selected rows
+    bits = pack_pairs(rows_sel.size, ncols, rmap[rowid[keep]], newcol[hp.indices[keep]])
     rhs = state.row_acc[pc.row_orig[rows_sel]].copy()
     cols_hp = np.nonzero(unknown_hp)[0]
     return ResidualSystem(bits=bits, rhs=rhs, ncols=ncols,
@@ -240,29 +238,29 @@ def hybrid_decode(code: QCCode, received, symbol_size: int,
     """Iterative decoding first, ML on the residual if it stalls.
 
     *received* maps symbol index -> symbol bytes (values ignored when
-    symbol_size is 0).  ML succeeds iff the residual system has full
-    column rank; with payloads, the solved codeword must then also pass
-    the syndrome check, otherwise a received symbol was corrupt and the
-    status is INCONSISTENT.
+    symbol_size is 0).  ML succeeds iff the residual has full column rank.
+    A decode is INCONSISTENT (a received symbol was corrupt) when a row
+    left with no unknown by peeling has a nonzero ``row_acc`` (its
+    syndrome) or elimination leaves a surplus right-hand side nonzero.
     """
     state = ReceptionState(code, symbol_size)
     for j, v in received.items():
         state.receive(int(j), v)
     counter = OpCounter()
     state.peel(counter)
-    if state.complete:
-        return DecodeOutcome(DecodeStatus.SUCCESS, state.values, counter)
-    if not allow_ml:
-        return DecodeOutcome(DecodeStatus.IT_PARTIAL, None, counter)
-    sys = build_residual(code, permuted_code(code), state)
-    dims = (sys.nrows, sys.ncols)
-    if not forward_eliminate(sys, counter):
-        return DecodeOutcome(DecodeStatus.ML_SINGULAR, None, counter, *dims)
-    sol = back_substitute(sys, counter)
-    if state.L:
-        state.values[sys.col_map] = sol
-        if not syndrome_is_zero(code.H, state.values):
-            return DecodeOutcome(DecodeStatus.INCONSISTENT, None, counter, *dims)
+    dims = (0, 0)
+    surplus = state.row_acc[:0]
+    if not state.complete:
+        if not allow_ml:
+            return DecodeOutcome(DecodeStatus.IT_PARTIAL, None, counter)
+        sys = build_residual(code, permuted_code(code), state)
+        dims = (sys.nrows, sys.ncols)
+        if not forward_eliminate(sys, counter):
+            return DecodeOutcome(DecodeStatus.ML_SINGULAR, None, counter, *dims)
+        state.values[sys.col_map] = back_substitute(sys, counter)
+        surplus = sys.rhs[sys.ncols:]  # back substitution never touches these
+    if surplus.any() or state.row_acc[state.row_unknown == 0].any():
+        return DecodeOutcome(DecodeStatus.INCONSISTENT, None, counter, *dims)
     return DecodeOutcome(DecodeStatus.SUCCESS, state.values, counter, *dims)
 
 
@@ -284,25 +282,25 @@ def write_symbols(path, n: int, k: int, L: int, present: dict):
 def read_symbols(path):
     """Returns (n, k, L, {index: uint8 array})."""
     with open(path, "rb") as f:
-        header = b""
-        while not header.endswith(b"\n"):
-            ch = f.read(1)
-            if not ch:
-                raise ValueError("truncated symbol file header")
-            header += ch
-        n, k, L = (int(x) for x in header.split())
-        present = {}
-        rec = 4 + L
-        while True:
-            chunk = f.read(rec)
-            if not chunk:
-                break
-            if len(chunk) != rec:
-                raise ValueError("truncated symbol record")
-            j = int.from_bytes(chunk[:4], "big")
-            if j >= n:
-                raise ValueError(f"symbol index {j} out of range for n={n}")
-            if j in present:
-                raise ValueError(f"duplicate record for symbol {j}")
-            present[j] = np.frombuffer(chunk[4:], dtype=np.uint8).copy()
+        header = f.readline()
+        body = f.read()
+    if not header.endswith(b"\n"):
+        raise ValueError("truncated symbol file header")
+    fields = header.split()
+    if len(fields) != 3:
+        raise ValueError(f"symbol file header needs 3 fields, got {len(fields)}")
+    n, k, L = (int(x) for x in fields)
+    if L < 0:
+        raise ValueError(f"symbol size L={L} must be >= 0")
+    rec = 4 + L
+    if len(body) % rec:
+        raise ValueError("truncated symbol record")
+    present = {}
+    for off in range(0, len(body), rec):
+        j = int.from_bytes(body[off:off + 4], "big")
+        if j >= n:
+            raise ValueError(f"symbol index {j} out of range for n={n}")
+        if j in present:
+            raise ValueError(f"duplicate record for symbol {j}")
+        present[j] = np.frombuffer(body, dtype=np.uint8, count=L, offset=off + 4).copy()
     return n, k, L, present

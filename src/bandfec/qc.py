@@ -47,10 +47,6 @@ class BaseMatrix:
     def n_source_cols(self):
         return self.b - self.a
 
-    @property
-    def parity_cols(self):
-        return range(self.b - self.a, self.b)
-
     def parity_part(self):
         return self.entries[:, self.b - self.a:]
 
@@ -205,8 +201,10 @@ def expand(base: BaseMatrix, spec: ExpansionSpec) -> QCCode:
 def make_code(ensemble: EnsembleSpec, k: int, b: int = 15, a: int = 5,
               seed: int = 0, src_degree: int = 5) -> QCCode:
     """Build one code instance from an ensemble at dimension k."""
-    if k % (b - a) != 0:
-        raise ValueError(f"k={k} not divisible by b-a={b - a}")
+    if b <= a:
+        raise ValueError(f"need b > a, got a={a}, b={b}")
+    if k < 1 or k % (b - a) != 0:
+        raise ValueError(f"k={k} is not a positive multiple of b-a={b - a}")
     z = k // (b - a)
     M = max_shift(ensemble, z)
     base = build_rra_base(a, b, src_degree)

@@ -130,6 +130,7 @@ class TestPermutedCode:
         code = make_code(EnsembleSpec("band"), 450, seed=2)
         pc = permuted_code(code)
         assert np.array_equal(pc.sym_of_col[pc.col_of_sym], np.arange(code.n))
+        assert np.array_equal(pc.row_orig[pc.perm.row(np.arange(code.m))], np.arange(code.m))
         d, dp = code.H.to_dense(), pc.hp.to_dense()
         assert np.array_equal(dp[:, pc.col_of_sym][pc.perm.row(np.arange(code.m))], d)
 

@@ -44,6 +44,18 @@ class TestGen:
             run(["gen", "--k", "241", "--out", tmp_path / "c.txt"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("args,expect", [
+        (["--k", "0"], "k=0 is not a positive multiple"),
+        (["--k", "-10"], "k=-10 is not a positive multiple"),
+        (["--a", "5", "--b", "5"], "need b > a"),
+        (["--c-const", "0"], "C must be positive"),
+        (["--k", "20"], "need z > M"),  # band: z=2, M=floor(3 sqrt 2)=4
+    ], ids=["k-zero", "k-negative", "a-equals-b", "c-zero", "z-not-above-M"])
+    def test_rejected_code_params(self, tmp_path, capsys, args, expect):
+        msg = usage_error(["gen", *args, "--out", tmp_path / "c.txt"], capsys)
+        assert expect in msg
+        assert not (tmp_path / "c.txt").exists()
+
 
 class TestEncodeDecode:
     @pytest.fixture
@@ -161,6 +173,24 @@ class TestEncodeDecode:
                            "--out", tmp_path / "syms.bin"], capsys)
         assert expect in msg
 
+    @pytest.mark.parametrize("L,expect", [
+        (-4, "symbol size L=-4 must be >= 0"),
+        (10**18, "truncated symbol record"),  # never allocated from the header
+    ], ids=["negative", "huge"])
+    def test_bad_symbol_size_in_header(self, tmp_path, code_file, capsys, L, expect):
+        n, k, _, _ = self.encoded(tmp_path, code_file)
+        data = (tmp_path / "syms.bin").read_bytes()
+        (tmp_path / "bad.bin").write_bytes(f"{n} {k} {L}".encode() + data[data.index(b"\n"):])
+        msg = usage_error(["decode", "--code", code_file, "--in", tmp_path / "bad.bin",
+                           "--out", tmp_path / "out.bin"], capsys)
+        assert expect in msg
+
+    def test_negative_symbol_size(self, tmp_path, code_file, capsys):
+        (tmp_path / "in.bin").write_bytes(b"t")
+        msg = usage_error(["encode", "--code", code_file, "--in", tmp_path / "in.bin",
+                           "--out", tmp_path / "syms.bin", "--symbol-size", "-1"], capsys)
+        assert "--symbol-size -1 must be >= 1" in msg
+
     def test_payload_too_large(self, tmp_path, code_file):
         (tmp_path / "in.bin").write_bytes(b"z" * (240 * 4 + 1))
         with pytest.raises(SystemExit) as exc:
@@ -214,6 +244,16 @@ class TestSim:
         msg = usage_error(["sim", "bler", "--k", "240", "--losses", "31:30:1",
                            "--trials", "2"], capsys)
         assert "lo <= hi" in msg
+
+    @pytest.mark.parametrize("args,expect", [
+        (["ineff", "--ks", "240,abc"], "not a comma-separated list of integers"),
+        (["bler", "--k", "240", "--trials", "-1"], "--trials -1 must be >= 1"),
+        (["bler", "--k", "240", "--loss", "150"], "must lie in [0, 100]"),
+    ], ids=["ks-not-int", "trials-negative", "loss-above-100"])
+    def test_rejected_sim_args(self, tmp_path, capsys, args, expect):
+        msg = usage_error(["sim", *args, "--out", tmp_path / "r.csv"], capsys)
+        assert expect in msg
+        assert not (tmp_path / "r.csv").exists()
 
     def test_losses_zero_step(self):
         # a zero step used to loop forever, so run it where a timeout can stop it

@@ -264,6 +264,23 @@ class TestResidual:
         assert out.counter.ml_ops == 0
         assert (out.residual_rows, out.residual_cols) == (0, 0)
 
+    @staticmethod
+    def empty_row_code(entries):
+        """3x4 base matrix with one all -1 row: z=2 expands it to two empty rows."""
+        base = BaseMatrix(a=3, b=4, M=1, entries=np.array(entries, dtype=np.int64))
+        return expand(base, ExpansionSpec(z=2, last_block_staircase=False))
+
+    def test_trailing_empty_rows(self):
+        code = self.empty_row_code([[0, 0, 0, -1], [0, 1, 0, 0], [-1, -1, -1, -1]])
+        out = hybrid_decode(code, {j: None for j in (0, 1, 5)}, 0)  # 2,3,4,6,7 erased
+        assert out.status is DecodeStatus.ML_SINGULAR
+
+    def test_empty_rows_left_out(self):
+        # H rows 2 and 3 are empty; the residual holds the four rows with an unknown
+        code = self.empty_row_code([[0, 0, 0, -1], [-1, -1, -1, -1], [0, 1, 0, 0]])
+        out = hybrid_decode(code, {j: None for j in (0, 5, 7)}, 0)  # 1,2,3,4,6 erased
+        assert (out.residual_rows, out.residual_cols) == (4, 5)
+
 
 class TestMLDecode:
     def test_success_matches_codeword(self):
@@ -301,27 +318,28 @@ class TestMLDecode:
         assert verdicts == {True, False}  # both branches exercised
 
 
-def flipped_bit_decode():
-    """Band k=2000, 28% loss, L=64, one received symbol with one bit flipped.
+def flipped_bit_decode(loss=0.28):
+    """Band k=2000, L=64, one received symbol with one bit flipped.
 
-    The corrupt symbol sits in a stalled decode, so ML elimination solves
-    the residual from it; only the syndrome check can tell.
+    At 28% loss the corrupt symbol sits in a stalled decode, so ML
+    elimination solves the residual from it; at 20% peeling completes.
+    Only a parity check can tell either way.
     """
     code = make_code(EnsembleSpec("band"), 2000, seed=5)
     rng = np.random.default_rng(7)
     _, cw = random_codeword(code, 64, rng)
-    lost = set(rng.permutation(code.n)[:round(0.28 * code.n)].tolist())
+    lost = set(rng.permutation(code.n)[:round(loss * code.n)].tolist())
     received = {j: cw.symbols[j].copy() for j in range(code.n) if j not in lost}
     received[min(received)][0] ^= 1
     return hybrid_decode(code, received, 64)
 
 
 class TestHybridDecode:
-    def test_corrupt_symbol_inconsistent(self):
-        out = flipped_bit_decode()
+    @staticmethod
+    def assert_inconsistent(loss):
+        out = flipped_bit_decode(loss)
         assert out.status is DecodeStatus.INCONSISTENT
         assert out.symbols is None
-        assert out.counter.ml_ops > 0
         # the check must survive python -O, which strips assert statements
         here = Path(__file__).resolve().parent
         src = Path(bandfec.__file__).resolve().parents[1]
@@ -329,11 +347,19 @@ class TestHybridDecode:
         script = ("import sys\n"
                   "if not sys.flags.optimize: sys.exit('asserts are on')\n"
                   "from test_codec import flipped_bit_decode\n"
-                  "print(flipped_bit_decode().status.value)")
+                  f"print(flipped_bit_decode({loss!r}).status.value)")
         proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split() == ["inconsistent"]
+        return out
+
+    def test_corrupt_symbol_inconsistent(self):
+        assert self.assert_inconsistent(0.28).counter.ml_ops > 0
+
+    def test_corrupt_symbol_peel_only_inconsistent(self):
+        c = self.assert_inconsistent(0.20).counter
+        assert (c.it_ops, c.ml_ops) == (2453, 0)
 
     def test_roundtrip_with_ml(self):
         code = make_code(EnsembleSpec("band"), 960, seed=11)
