@@ -21,16 +21,12 @@ from .qc import QCCode
 class BandShape:
     p: int  # subdiagonal height, a(M+1)
     q: int  # band width, b(M+1)
-    a: int
-    b: int
-    m: int
-    M: int
 
 
-def band_shape(a: int, b: int, M: int, m: int = 0) -> BandShape:
+def band_shape(a: int, b: int, M: int) -> BandShape:
     if a < 1 or b < 1 or M < 0:
         raise ValueError("need a,b >= 1 and M >= 0")
-    return BandShape(p=a * (M + 1), q=b * (M + 1), a=a, b=b, m=m, M=M)
+    return BandShape(p=a * (M + 1), q=b * (M + 1))
 
 
 @dataclass(frozen=True)
@@ -68,13 +64,7 @@ def permute_matrix(H: SparseBinMatrix, perm: QCPermutation) -> SparseBinMatrix:
     """Apply the pseudo-band row/column permutation to a sparse matrix."""
     if H.m != perm.a * perm.z or H.n != perm.b * perm.z:
         raise ValueError("matrix dimensions do not match permutation")
-    rowid = np.repeat(np.arange(H.m), np.diff(H.indptr))
-    rp = perm.row(rowid)
-    cp = perm.col(H.indices)
-    order = np.lexsort((cp, rp))
-    rp, cp = rp[order], cp[order]
-    indptr = np.searchsorted(rp, np.arange(H.m + 1))
-    return SparseBinMatrix(H.m, H.n, indptr=indptr, indices=cp)
+    return SparseBinMatrix.from_coords(H.m, H.n, perm.row(H.row_ids()), perm.col(H.indices))
 
 
 def in_band(ip, jp, a: int, b: int, m: int, M: int):
@@ -92,8 +82,7 @@ def in_band(ip, jp, a: int, b: int, m: int, M: int):
 
 def verify_band(Hp: SparseBinMatrix, a: int, b: int, M: int) -> bool:
     """True iff every stored nonzero of the permuted matrix lies in the band."""
-    rowid = np.repeat(np.arange(Hp.m), np.diff(Hp.indptr))
-    return bool(np.all(in_band(rowid, Hp.indices, a, b, Hp.m, M)))
+    return bool(np.all(in_band(Hp.row_ids(), Hp.indices, a, b, Hp.m, M)))
 
 
 class PermutedCode:
@@ -105,7 +94,6 @@ class PermutedCode:
         sym_of_col: H' column index -> original symbol index.
         col_of_sym: original symbol index -> H' column index.
         row_orig: H' row index -> original row index.
-        shape: BandShape of the underlying base matrix.
     """
 
     def __init__(self, code: QCCode):
@@ -115,7 +103,6 @@ class PermutedCode:
         self.col_of_sym = self.perm.col(np.arange(code.n))
         self.sym_of_col = self.perm.col_inv(np.arange(code.n))
         self.row_orig = self.perm.row_inv(np.arange(code.m))
-        self.shape = band_shape(base.a, base.b, base.M, m=code.m)
 
 
 def permuted_code(code: QCCode) -> PermutedCode:

@@ -1,9 +1,10 @@
 """Command-line front end: code generation, encode/decode, experiment sweeps.
 
 Exit codes: 0 success, 2 usage error (including a malformed code or symbol
-file), 3 iterative decoding stalled with ML disabled, 4 residual system
-singular, 5 decoded symbols inconsistent (a received symbol was corrupt),
-whether peeling alone or ML elimination decoded them.
+file, a code that encode cannot use, and a size from the command line or a
+file too large to allocate), 3 iterative decoding stalled with ML disabled,
+4 residual system singular, 5 decoded symbols inconsistent (a received
+symbol was corrupt), whether peeling alone or ML elimination decoded them.
 Set BANDFEC_JOBS to parallelize simulation trials; output is identical
 regardless of the job count.
 """
@@ -42,7 +43,7 @@ def _check_config(parser, args, ks):
                                    M0=args.m0)
         for k in ks:
             code = qc.make_code(ensemble, k, b=args.b, a=args.a, seed=args.seed)
-    except ValueError as e:
+    except (ValueError, MemoryError) as e:
         parser.error(str(e))
     rate = (args.b - args.a) / args.b
     if args.rate is not None and abs(args.rate - rate) > 1e-9:
@@ -69,28 +70,28 @@ def _parse_losses(parser, spec: str):
 def cmd_gen(parser, args):
     _, code, _ = _check_config(parser, args, [args.k])
     qc.write_base_matrix(args.out, code)
-    shape = band_shape(args.a, args.b, code.base.M, m=code.m)
+    shape = band_shape(args.a, args.b, code.base.M)
     print(f"z={code.spec.z} M={code.base.M} p={shape.p} q={shape.q} "
           f"n={code.n} k={code.k} rate={code.rate:.6g}")
     return 0
 
 
 def cmd_encode(parser, args):
+    L = args.symbol_size
+    if L < 1:
+        parser.error(f"--symbol-size {L} must be >= 1")
     try:
         code = qc.load_code(args.code)
         with open(args.infile, "rb") as f:
             payload = f.read()
-    except (ValueError, OSError) as e:
+        need = code.k * L
+        if len(payload) > need:
+            parser.error(f"payload exceeds {need} bytes (k={code.k}, L={L})")
+        buf = np.zeros(need, dtype=np.uint8)
+        buf[:len(payload)] = np.frombuffer(payload, dtype=np.uint8)
+        cw = encode(code, buf.reshape(code.k, L))
+    except (ValueError, OSError, MemoryError) as e:
         parser.error(str(e))
-    L = args.symbol_size
-    if L < 1:
-        parser.error(f"--symbol-size {L} must be >= 1")
-    need = code.k * L
-    if len(payload) > need:
-        parser.error(f"payload exceeds {need} bytes (k={code.k}, L={L})")
-    buf = np.zeros(need, dtype=np.uint8)
-    buf[:len(payload)] = np.frombuffer(payload, dtype=np.uint8)
-    cw = encode(code, buf.reshape(code.k, L))
     present = {j: cw.symbols[j] for j in range(code.n)}
     write_symbols(args.out, code.n, code.k, L, present)
     print(f"encoded {len(payload)} bytes into {code.n} symbols of {L} bytes")
@@ -101,11 +102,14 @@ def cmd_decode(parser, args):
     try:
         code = qc.load_code(args.code)
         n, k, L, present = read_symbols(args.infile)
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, MemoryError) as e:
         parser.error(str(e))
     if (n, k) != (code.n, code.k):
         parser.error(f"symbol file is for n={n}, k={k}; code has n={code.n}, k={code.k}")
-    out = hybrid_decode(code, present, L, allow_ml=not args.it_only)
+    try:
+        out = hybrid_decode(code, present, L, allow_ml=not args.it_only)
+    except (ValueError, MemoryError) as e:  # an (n, L) buffer numpy cannot allocate
+        parser.error(str(e))
     c = out.counter
     print(f"status={out.status.value} received={len(present)} "
           f"it_ops={c.it_ops} fe_ops={c.fe_ops} bs_ops={c.bs_ops}")

@@ -66,20 +66,21 @@ class Codeword:
 def encode(code: QCCode, source) -> Codeword:
     """Compute parity by forward substitution over the staircase parity part.
 
-    Requires circulant expansion with shift-0 parity diagonal and the
-    staircase final block, which make H_p unit lower triangular: row r
+    Requires H_p unit lower triangular (circulant expansion with shift-0
+    parity diagonal and the staircase final block give it): row r then
     determines parity symbol k + r from already-known symbols.
     """
     source = np.atleast_2d(np.asarray(source, dtype=np.uint8))
     k = code.k
     if source.shape[0] != k:
         raise ValueError(f"expected {k} source symbols, got {source.shape[0]}")
-    if code.spec.mode != "circulant":
-        raise ValueError("linear-time encoding requires circulant expansion")
+    H = code.H
+    rid, off = H.row_ids(), H.indices - k  # each nonzero sits at (rid, k + off)
+    if (off > rid).any() or np.count_nonzero(off == rid) != code.m:
+        raise ValueError("linear-time encoding requires H_p unit lower triangular")
     L = source.shape[1]
     values = np.zeros((code.n, L), dtype=np.uint8)
     values[:k] = source
-    H = code.H
     for r in range(code.m):
         cols = H.row(r)
         # parity column k+r is still zero, so it drops out of the XOR
@@ -169,10 +170,8 @@ class ResidualSystem:
     def to_sparse(self) -> SparseBinMatrix:
         """Unpack into a SparseBinMatrix (for oracles; call before eliminating)."""
         u8 = self.bits.view(np.uint8)
-        unpacked = np.unpackbits(u8, axis=1, bitorder="little")[:, :max(self.ncols, 1)]
-        if self.ncols == 0:
-            unpacked = unpacked[:, :0]
-        return SparseBinMatrix.from_dense(unpacked)
+        return SparseBinMatrix.from_dense(
+            np.unpackbits(u8, axis=1, bitorder="little")[:, :self.ncols])
 
 
 def build_residual(code: QCCode, pc: PermutedCode, state: ReceptionState) -> ResidualSystem:
@@ -184,9 +183,8 @@ def build_residual(code: QCCode, pc: PermutedCode, state: ReceptionState) -> Res
     newcol = np.cumsum(unknown_hp) - 1
     rmap = np.full(hp.m, -1, dtype=np.int64)
     rmap[rows_sel] = np.arange(rows_sel.size)
-    rowid = np.repeat(np.arange(hp.m), np.diff(hp.indptr))
     keep = unknown_hp[hp.indices]  # kept nonzeros necessarily sit in selected rows
-    bits = pack_pairs(rows_sel.size, ncols, rmap[rowid[keep]], newcol[hp.indices[keep]])
+    bits = pack_pairs(rows_sel.size, ncols, rmap[hp.row_ids()[keep]], newcol[hp.indices[keep]])
     rhs = state.row_acc[pc.row_orig[rows_sel]].copy()
     cols_hp = np.nonzero(unknown_hp)[0]
     return ResidualSystem(bits=bits, rhs=rhs, ncols=ncols,

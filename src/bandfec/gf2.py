@@ -2,9 +2,10 @@
 
 Symbols are fixed-length byte blocks (numpy uint8 arrays); a codeword is a
 2-D array of shape (n, L).  Binary matrices are stored sparsely as per-row
-sorted column indices (CSR-style).  The dense solvers at the bottom are
-deliberately naive reference implementations used as test oracles; the
-production elimination path lives in :mod:`bandfec.codec`.
+sorted column indices (CSR-style); other modules build and read them only
+through SparseBinMatrix's methods, never its row pointers.  The dense solvers
+at the bottom are deliberately naive reference implementations used as test
+oracles; the production elimination path lives in :mod:`bandfec.codec`.
 """
 
 from __future__ import annotations
@@ -17,24 +18,22 @@ _ONE = np.uint64(1)
 class SparseBinMatrix:
     """m x n binary matrix stored as sorted, duplicate-free column indices per row."""
 
-    def __init__(self, m, n, rows=None, indptr=None, indices=None):
+    def __init__(self, m, n, indptr, indices):
         self.m = int(m)
         self.n = int(n)
-        if rows is not None:
-            lens = np.array([len(r) for r in rows], dtype=np.int64)
-            if len(rows) != self.m:
-                raise ValueError("row count mismatch")
-            self.indptr = np.concatenate([[0], np.cumsum(lens)])
-            self.indices = (
-                np.concatenate([np.asarray(r, dtype=np.int64) for r in rows])
-                if lens.sum() else np.zeros(0, dtype=np.int64)
-            )
-        else:
-            self.indptr = np.asarray(indptr, dtype=np.int64)
-            self.indices = np.asarray(indices, dtype=np.int64)
-            if len(self.indptr) != self.m + 1:
-                raise ValueError("indptr length mismatch")
+        self.indptr = np.asarray(indptr, dtype=np.int64)
+        self.indices = np.asarray(indices, dtype=np.int64)
+        if len(self.indptr) != self.m + 1:
+            raise ValueError("indptr length mismatch")
         self._check()
+
+    @classmethod
+    def from_coords(cls, m, n, rows, cols):
+        """Matrix with a one at each (rows[i], cols[i]), given in any order."""
+        rows = np.asarray(rows, dtype=np.int64)
+        cols = np.asarray(cols, dtype=np.int64)
+        order = np.lexsort((cols, rows))
+        return cls(m, n, np.searchsorted(rows[order], np.arange(m + 1)), cols[order])
 
     def _check(self):
         if self.indices.size:
@@ -51,38 +50,25 @@ class SparseBinMatrix:
     def row(self, i):
         return self.indices[self.indptr[i]:self.indptr[i + 1]]
 
-    @property
-    def rows(self):
-        return [self.row(i) for i in range(self.m)]
-
-    @property
-    def nnz(self):
-        return int(self.indices.size)
+    def row_ids(self):
+        """Row index of each stored nonzero, aligned with ``indices``."""
+        return np.repeat(np.arange(self.m), np.diff(self.indptr))
 
     def to_dense(self):
         d = np.zeros((self.m, self.n), dtype=np.uint8)
-        for i in range(self.m):
-            d[i, self.row(i)] = 1
+        d[self.row_ids(), self.indices] = 1
         return d
 
     @classmethod
     def from_dense(cls, d):
         d = np.asarray(d)
-        return cls(d.shape[0], d.shape[1],
-                   rows=[np.nonzero(d[i])[0] for i in range(d.shape[0])])
+        return cls.from_coords(d.shape[0], d.shape[1], *np.nonzero(d))
 
     def column_adjacency(self):
         """Per-column arrays of row indices (CSC view)."""
-        nnz = self.nnz
-        rowid = np.repeat(np.arange(self.m), np.diff(self.indptr))
-        order = np.argsort(self.indices, kind="stable")
-        counts = np.bincount(self.indices, minlength=self.n)
-        ptr = np.concatenate([[0], np.cumsum(counts)])
-        sorted_rows = rowid[order] if nnz else rowid
-        return [sorted_rows[ptr[j]:ptr[j + 1]] for j in range(self.n)]
-
-    def column_weights(self):
-        return np.bincount(self.indices, minlength=self.n)
+        t = SparseBinMatrix.from_coords(self.n, self.m, self.indices, self.row_ids())
+        ptr = t.indptr.tolist()  # python ints slice faster than numpy scalars
+        return [t.indices[ptr[j]:ptr[j + 1]] for j in range(self.n)]
 
     def row_weights(self):
         return np.diff(self.indptr)

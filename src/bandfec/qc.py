@@ -47,9 +47,6 @@ class BaseMatrix:
     def n_source_cols(self):
         return self.b - self.a
 
-    def parity_part(self):
-        return self.entries[:, self.b - self.a:]
-
 
 @dataclass(frozen=True)
 class ExpansionSpec:
@@ -189,17 +186,12 @@ def expand(base: BaseMatrix, spec: ExpansionSpec) -> QCCode:
                 c = (alpha + s) % z
             rr.append(i * z + r)
             cc.append(j * z + c)
-    rows = np.concatenate(rr)
-    cols = np.concatenate(cc)
-    order = np.lexsort((cols, rows))
-    rows, cols = rows[order], cols[order]
-    indptr = np.searchsorted(rows, np.arange(a * z + 1))
-    H = SparseBinMatrix(a * z, b * z, indptr=indptr, indices=cols)
+    H = SparseBinMatrix.from_coords(a * z, b * z, np.concatenate(rr), np.concatenate(cc))
     return QCCode(base=base, spec=spec, H=H)
 
 
 def make_code(ensemble: EnsembleSpec, k: int, b: int = 15, a: int = 5,
-              seed: int = 0, src_degree: int = 5) -> QCCode:
+              seed: int = 0) -> QCCode:
     """Build one code instance from an ensemble at dimension k."""
     if b <= a:
         raise ValueError(f"need b > a, got a={a}, b={b}")
@@ -207,7 +199,7 @@ def make_code(ensemble: EnsembleSpec, k: int, b: int = 15, a: int = 5,
         raise ValueError(f"k={k} is not a positive multiple of b-a={b - a}")
     z = k // (b - a)
     M = max_shift(ensemble, z)
-    base = build_rra_base(a, b, src_degree)
+    base = build_rra_base(a, b, src_degree=5)
     base = sample_shifts(base, M, np.random.default_rng([int(seed), 0]))
     mode = PROTOGRAPH if ensemble.kind == "protograph" else CIRCULANT
     spec = ExpansionSpec(z=z, mode=mode, last_block_staircase=True, seed=int(seed))
@@ -243,7 +235,10 @@ def read_base_matrix(path):
     for i, row in enumerate(rows):
         if len(row) != b:
             raise ValueError(f"base-matrix row {i} needs {b} entries, got {len(row)}")
-    entries = np.array([[int(v) for v in row] for row in rows], dtype=np.int64)
+    try:
+        entries = np.array([[int(v) for v in row] for row in rows], dtype=np.int64)
+    except OverflowError as e:
+        raise ValueError(f"base-matrix entry out of range: {e}") from e
     base = BaseMatrix(a=a, b=b, M=M, entries=entries)
     spec = ExpansionSpec(z=z, mode=mode, last_block_staircase=last_stair, seed=seed)
     return base, spec

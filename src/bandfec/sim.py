@@ -70,10 +70,9 @@ def minimal_ml_reception(code: QCCode, pc: PermutedCode, order) -> int:
     pos = np.full(n, -1, dtype=np.int64)
     pos[pc.col_of_sym[order[k:][::-1]]] = np.arange(N)
     hp = pc.hp
-    rowid = np.repeat(np.arange(m), np.diff(hp.indptr))
     pos_nz = pos[hp.indices]
     tail = pos_nz >= 0
-    bits = pack_pairs(N, m, pos_nz[tail], rowid[tail])
+    bits = pack_pairs(N, m, pos_nz[tail], hp.row_ids()[tail])
     not_pivot = np.ones(N, dtype=bool)
     for c in range(m):
         w, sh = divmod(c, 64)

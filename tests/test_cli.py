@@ -1,4 +1,5 @@
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -22,6 +23,33 @@ def usage_error(argv, capsys):
         run(argv)
     assert exc.value.code == 2
     return capsys.readouterr().err.strip().splitlines()[-1]
+
+
+def run_capped(argv):
+    """Run the CLI in a subprocess whose address space is capped at 4 GiB, so
+    that no allocation sized from the inputs used here can succeed."""
+    src = Path(bandfec.__file__).resolve().parents[1]
+    cap = 4 << 30
+    return subprocess.run(
+        [sys.executable, "-m", "bandfec.cli", *map(str, argv)],
+        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
+        timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+
+
+def edited_code(tmp_path, code_file, line, pos, value):
+    """Copy of a code file with token *pos* of line *line* set to *value*."""
+    lines = [row.split() for row in code_file.read_text().splitlines()]
+    lines[line][pos] = str(value)
+    path = tmp_path / "edited.txt"
+    path.write_text("".join(" ".join(row) + "\n" for row in lines))
+    return path
+
+
+def header_only(tmp_path, L):
+    """A symbol file for the k=240 band code with symbol size L and no records."""
+    path = tmp_path / "empty.bin"
+    path.write_bytes(f"360 240 {L}\n".encode())
+    return path
 
 
 class TestGen:
@@ -163,7 +191,9 @@ class TestEncodeDecode:
         (lambda lines: [lines[0].rsplit(" ", 1)[0]] + lines[1:], "header needs 7 fields"),
         (lambda lines: lines[:-1], "needs 5 rows, got 4"),
         (lambda lines: lines[:2] + [lines[2] + " 0"] + lines[3:], "row 1 needs 15 entries"),
-    ], ids=["short-header", "missing-row", "long-row"])
+        (lambda lines: [lines[0], "99999999999999999999 " + lines[1].split(" ", 1)[1]]
+         + lines[2:], "entry out of range"),
+    ], ids=["short-header", "missing-row", "long-row", "entry-overflow"])
     def test_malformed_code_file(self, tmp_path, code_file, capsys, edit, expect):
         lines = code_file.read_text().splitlines()
         bad = tmp_path / "bad.txt"
@@ -190,6 +220,35 @@ class TestEncodeDecode:
         msg = usage_error(["encode", "--code", code_file, "--in", tmp_path / "in.bin",
                            "--out", tmp_path / "syms.bin", "--symbol-size", "-1"], capsys)
         assert "--symbol-size -1 must be >= 1" in msg
+
+    @pytest.mark.parametrize("ensemble,shift", [("protograph", None), ("band", 1)],
+                             ids=["protograph", "shifted-parity-diagonal"])
+    def test_code_encode_cannot_use(self, tmp_path, capsys, ensemble, shift):
+        path = tmp_path / "code.txt"
+        run(["gen", "--ensemble", ensemble, "--k", "240", "--out", path])
+        if shift is not None:
+            path = edited_code(tmp_path, path, 1, 10, shift)  # row 0, first parity block
+        (tmp_path / "in.bin").write_bytes(b"r")
+        msg = usage_error(["encode", "--code", path, "--in", tmp_path / "in.bin",
+                           "--out", tmp_path / "syms.bin"], capsys)
+        assert "unit lower triangular" in msg
+        assert not (tmp_path / "syms.bin").exists()
+
+    @pytest.mark.parametrize("argv", [
+        lambda t, c: ["gen", "--k", 10**16, "--out", t / "c.txt"],
+        lambda t, c: ["encode", "--code", edited_code(t, c, 0, 3, 10**15),
+                      "--in", t / "in.bin", "--out", t / "s.bin"],
+        lambda t, c: ["encode", "--code", c, "--in", t / "in.bin", "--out", t / "s.bin",
+                      "--symbol-size", 10**15],
+        lambda t, c: ["decode", "--code", c, "--in", header_only(t, 10**15), "--out", t / "o"],
+        lambda t, c: ["decode", "--code", c, "--in", header_only(t, 10**18), "--out", t / "o"],
+    ], ids=["gen-k", "code-z", "symbol-size", "header-L", "header-L-beyond-index-range"])
+    def test_size_beyond_memory(self, tmp_path, code_file, argv):
+        (tmp_path / "in.bin").write_bytes(b"q")
+        proc = run_capped(argv(tmp_path, code_file))
+        assert proc.returncode == 2, proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert "error: " in proc.stderr.splitlines()[-1]
 
     def test_payload_too_large(self, tmp_path, code_file):
         (tmp_path / "in.bin").write_bytes(b"z" * (240 * 4 + 1))
@@ -230,6 +289,18 @@ class TestSim:
                  "--losses", "10:30:10", "--trials", "3", "--seed", "8",
                  "--out", tmp_path / name])
             outs.append((tmp_path / name).read_bytes())
+        assert outs[0] == outs[1]
+
+    @pytest.mark.parametrize("args", [["ineff", "--ks", "240"],
+                                      ["bler", "--k", "240", "--losses", "20:40:10"]],
+                             ids=["ineff", "bler"])
+    def test_jobs_leave_csv_unchanged(self, tmp_path, monkeypatch, args):
+        outs = []
+        for jobs in ("1", "2"):
+            monkeypatch.setenv("BANDFEC_JOBS", jobs)
+            out = tmp_path / f"jobs{jobs}.csv"
+            assert run(["sim", *args, "--trials", "4", "--seed", "9", "--out", out]) == 0
+            outs.append(out.read_bytes())
         assert outs[0] == outs[1]
 
     @pytest.mark.parametrize("value", ["x", "0"])

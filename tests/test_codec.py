@@ -20,7 +20,9 @@ from bandfec.qc import (BaseMatrix, EnsembleSpec, ExpansionSpec, QCCode,
 
 def toy_code(rows, n):
     """Code wrapper around a bare matrix; enough for peeling tests."""
-    return QCCode(base=None, spec=None, H=SparseBinMatrix(len(rows), n, rows=rows))
+    H = SparseBinMatrix.from_coords(len(rows), n, [i for i, r in enumerate(rows) for _ in r],
+                                    [c for r in rows for c in r])
+    return QCCode(base=None, spec=None, H=H)
 
 
 def all_ones_2x2_code():
@@ -68,6 +70,15 @@ class TestEncode:
         code = make_code(EnsembleSpec("protograph"), 240)
         with pytest.raises(ValueError):
             encode(code, np.zeros((code.k, 1), dtype=np.uint8))
+
+    def test_shifted_parity_diagonal_rejected(self):
+        # shift 1 on the first parity block puts a nonzero above H_p's diagonal
+        code = make_code(EnsembleSpec("band"), 240)
+        entries = code.base.entries.copy()
+        entries[0, 10] = 1
+        base = BaseMatrix(a=5, b=15, M=code.base.M, entries=entries)
+        with pytest.raises(ValueError, match="unit lower triangular"):
+            encode(expand(base, code.spec), np.zeros((code.k, 1), dtype=np.uint8))
 
 
 class TestPeeling:
@@ -193,7 +204,7 @@ class TestElimination:
                 if cols.size:
                     rhs[i] = np.bitwise_xor.reduce(X[cols], axis=0)
             want = dense_solve_oracle(A, rhs)
-            sys = direct_system([list(r) for r in A.rows], n, rhs)
+            sys = direct_system([list(A.row(i)) for i in range(m)], n, rhs)
             c = OpCounter()
             ok = forward_eliminate(sys, c)
             assert ok == (want is not None)

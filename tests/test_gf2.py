@@ -5,6 +5,13 @@ from bandfec.gf2 import (SparseBinMatrix, dense_solve_oracle, rank_oracle,
                          syndrome_is_zero)
 
 
+def from_rows(n, rows):
+    """Matrix from per-row column lists, stored in the order given."""
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    indices = np.array([c for r in rows for c in r], dtype=np.int64)
+    return SparseBinMatrix(len(rows), n, indptr, indices)
+
+
 def rand_matrix(rng, m, n, density=0.5):
     return SparseBinMatrix.from_dense(rng.random((m, n)) < density)
 
@@ -12,40 +19,51 @@ def rand_matrix(rng, m, n, density=0.5):
 class TestSparseBinMatrix:
     def test_invariants(self):
         with pytest.raises(ValueError):
-            SparseBinMatrix(1, 2, rows=[[0, 2]])
+            from_rows(2, [[0, 2]])
         with pytest.raises(ValueError):
-            SparseBinMatrix(1, 3, rows=[[1, 1]])
+            from_rows(3, [[1, 1]])
         # a decrease across a row boundary is legal, also across empty rows
-        A = SparseBinMatrix(6, 5, rows=[[], [3, 4], [], [], [0, 1], []])
-        assert [list(r) for r in A.rows] == [[], [3, 4], [], [], [0, 1], []]
+        A = from_rows(5, [[], [3, 4], [], [], [0, 1], []])
+        assert [list(A.row(i)) for i in range(A.m)] == [[], [3, 4], [], [], [0, 1], []]
         with pytest.raises(ValueError, match="row 3 "):
-            SparseBinMatrix(4, 5, rows=[[0, 4], [], [1], [1, 2, 2]])
+            from_rows(5, [[0, 4], [], [1], [1, 2, 2]])
 
     def test_dense_roundtrip(self):
         rng = np.random.default_rng(1)
         d = (rng.random((6, 9)) < 0.4).astype(np.uint8)
         assert np.array_equal(SparseBinMatrix.from_dense(d).to_dense(), d)
 
+    def test_from_coords_any_order(self):
+        rng = np.random.default_rng(4)
+        d = (rng.random((7, 9)) < 0.4).astype(np.uint8)
+        r, c = np.nonzero(d)
+        p = rng.permutation(r.size)
+        A = SparseBinMatrix.from_coords(7, 9, r[p], c[p])
+        assert np.array_equal(A.to_dense(), d)
+        assert np.array_equal(A.row_ids(), r)
+        with pytest.raises(ValueError, match="not strictly increasing"):
+            SparseBinMatrix.from_coords(7, 9, np.append(r, r[0]), np.append(c, c[0]))
+
     def test_column_adjacency(self):
-        A = SparseBinMatrix(3, 3, rows=[[0, 2], [1], [1, 2]])
+        A = from_rows(3, [[0, 2], [1], [1, 2]])
         adj = A.column_adjacency()
         assert [list(a) for a in adj] == [[0], [1, 2], [0, 2]]
 
 
 class TestSyndrome:
     def test_equal_symbols_cancel(self):
-        H = SparseBinMatrix(1, 2, rows=[[0, 1]])
+        H = from_rows(2, [[0, 1]])
         b = np.array([[5]], np.uint8)
         assert syndrome_is_zero(H, np.vstack([b, b]))
         assert not syndrome_is_zero(H, np.array([[5], [6]], np.uint8))
 
     def test_empty_rows(self):
-        H = SparseBinMatrix(2, 3, rows=[[], []])
+        H = from_rows(3, [[], []])
         rng = np.random.default_rng(2)
         assert syndrome_is_zero(H, rng.integers(0, 256, (3, 4), dtype=np.uint8))
 
     def test_dimension_mismatch(self):
-        H = SparseBinMatrix(1, 2, rows=[[0, 1]])
+        H = from_rows(2, [[0, 1]])
         with pytest.raises(ValueError):
             syndrome_is_zero(H, np.zeros((3, 1), np.uint8))
 
@@ -71,12 +89,12 @@ def brute_force_solve(A, rhs):
 
 class TestDenseSolveOracle:
     def test_identity(self):
-        A = SparseBinMatrix(3, 3, rows=[[0], [1], [2]])
+        A = from_rows(3, [[0], [1], [2]])
         rhs = np.arange(9, dtype=np.uint8).reshape(3, 3)
         assert np.array_equal(dense_solve_oracle(A, rhs), rhs)
 
     def test_back_substitution_by_hand(self):
-        A = SparseBinMatrix(2, 2, rows=[[0, 1], [1]])
+        A = from_rows(2, [[0, 1], [1]])
         s0, s1 = np.uint8(0x21), np.uint8(0x13)
         sol = dense_solve_oracle(A, np.array([[s0], [s1]], np.uint8))
         assert sol[0, 0] == s0 ^ s1 and sol[1, 0] == s1
@@ -150,8 +168,8 @@ def textbook_rank(dense):
 
 class TestRankOracle:
     def test_identity_and_zero(self):
-        assert rank_oracle(SparseBinMatrix(4, 4, rows=[[0], [1], [2], [3]])) == 4
-        assert rank_oracle(SparseBinMatrix(3, 5, rows=[[], [], []])) == 0
+        assert rank_oracle(from_rows(4, [[0], [1], [2], [3]])) == 4
+        assert rank_oracle(from_rows(5, [[], [], []])) == 0
 
     def test_against_textbook(self):
         rng = np.random.default_rng(5)

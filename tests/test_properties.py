@@ -1,4 +1,4 @@
-"""Property tests of the hybrid decoder and the symbol-file reader.
+"""Property tests of the hybrid decoder and the symbol- and base-matrix-file readers.
 
 The decoder's verdicts are checked against the dense reference solvers in
 ``bandfec.gf2``; small codes keep each example to milliseconds.
@@ -9,7 +9,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bandfec.codec import DecodeStatus, encode, hybrid_decode, read_symbols
 from bandfec.gf2 import SparseBinMatrix, dense_solve_oracle, rank_oracle, syndrome_is_zero
-from bandfec.qc import EnsembleSpec, make_code
+from bandfec.qc import BaseMatrix, EnsembleSpec, ExpansionSpec, make_code, read_base_matrix
 
 
 @st.composite
@@ -82,3 +82,32 @@ def test_read_symbols_fuzz(tmp_path, n, k, L, body):
     assert (n2, k2, L2) == (n, k, L) and L2 >= 0
     for j, v in present.items():
         assert 0 <= j < n2 and v.dtype == np.uint8 and v.shape == (L2,)
+
+
+huge = st.integers(-2**70, 2**70)
+
+
+@st.composite
+def base_matrix_texts(draw):
+    """A base-matrix file: header fields from +-2^70, a grid of random tokens."""
+    a, b = draw(st.integers(0, 4)), draw(st.integers(0, 6))
+    token = st.one_of(small, huge, st.text(alphabet="0123456789-+_ x", max_size=3))
+    grid = draw(st.lists(st.lists(token, min_size=b, max_size=b), min_size=a, max_size=a))
+    field = st.one_of(small, huge)
+    head = [draw(st.one_of(st.just(a), field)), draw(st.one_of(st.just(b), field)),
+            draw(field), draw(field), draw(st.sampled_from(["circulant", "protograph", "x"])),
+            draw(field), draw(field)]
+    return "\n".join(" ".join(map(str, line)) for line in [head, *grid]) + "\n"
+
+
+@settings(max_examples=300, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=base_matrix_texts())
+def test_read_base_matrix_fuzz(tmp_path, text):
+    path = tmp_path / "code.txt"
+    path.write_text(text)
+    try:
+        base, spec = read_base_matrix(path)
+    except ValueError:
+        return
+    assert isinstance(base, BaseMatrix) and isinstance(spec, ExpansionSpec)
+    assert base.entries.shape == (base.a, base.b) and spec.z >= 1

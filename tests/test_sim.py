@@ -29,13 +29,11 @@ class TestReceptionOrder:
 
 def naive_minimal_reception(code, order):
     """Reference: first prefix whose erased H columns are independent."""
-    adj = code.H.column_adjacency()
+    HT = code.H.to_dense().T
     n, k = code.n, code.k
     for t in range(k, n + 1):
         erased = order[t:]
-        rows = [sorted(adj[j].tolist()) for j in erased]
-        A = SparseBinMatrix(len(rows), code.m, rows=rows)
-        if rank_oracle(A) == len(rows):
+        if rank_oracle(SparseBinMatrix.from_dense(HT[erased])) == len(erased):
             return t
     return n
 
@@ -84,9 +82,7 @@ class TestInefficiencyTrial:
         t_ml = round(r.ml_inefficiency * k)
         assert minimal_ml_reception(code, pc, order) == t_ml
         erased = order[t_ml - 1:]
-        adj = code.H.column_adjacency()
-        A = SparseBinMatrix(len(erased), code.m,
-                            rows=[sorted(adj[j].tolist()) for j in erased])
+        A = SparseBinMatrix.from_dense(code.H.to_dense().T[erased])
         assert rank_oracle(A) < len(erased)
 
 
