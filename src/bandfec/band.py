@@ -1,10 +1,11 @@
 """Pseudo-band permutation of quasi-cyclic matrices.
 
 Row i = x*z + y of the expanded matrix maps to i' = x + y*a, and column
-j = x*z + y maps to j' = x + y*b.  For circulant expansion with maximum
-shift M, every nonzero of the permuted matrix H' lies in a band of
-subdiagonal height p = a(M+1) and width q = b(M+1), plus a wrap region in
-the bottom-left corner.  Indices here are top-left origin throughout.
+j = x*z + y maps to j' = x + y*b: each map transposes an a x z (or b x z)
+grid of indices.  For circulant expansion with maximum shift M, every
+nonzero of the permuted matrix H' lies in a band of subdiagonal height
+p = a(M+1) and width q = b(M+1), plus a wrap region in the bottom-left
+corner.  Indices here are top-left origin throughout.
 """
 
 from __future__ import annotations
@@ -29,42 +30,10 @@ def band_shape(a: int, b: int, M: int) -> BandShape:
     return BandShape(p=a * (M + 1), q=b * (M + 1))
 
 
-@dataclass(frozen=True)
-class QCPermutation:
-    a: int
-    b: int
-    z: int
-
-    def row(self, i):
-        i = np.asarray(i)
-        if np.any(i < 0) or np.any(i >= self.a * self.z):
-            raise ValueError("row index out of range")
-        return i // self.z + (i % self.z) * self.a
-
-    def col(self, j):
-        j = np.asarray(j)
-        if np.any(j < 0) or np.any(j >= self.b * self.z):
-            raise ValueError("column index out of range")
-        return j // self.z + (j % self.z) * self.b
-
-    def row_inv(self, ip):
-        ip = np.asarray(ip)
-        if np.any(ip < 0) or np.any(ip >= self.a * self.z):
-            raise ValueError("row index out of range")
-        return (ip % self.a) * self.z + ip // self.a
-
-    def col_inv(self, jp):
-        jp = np.asarray(jp)
-        if np.any(jp < 0) or np.any(jp >= self.b * self.z):
-            raise ValueError("column index out of range")
-        return (jp % self.b) * self.z + jp // self.b
-
-
-def permute_matrix(H: SparseBinMatrix, perm: QCPermutation) -> SparseBinMatrix:
-    """Apply the pseudo-band row/column permutation to a sparse matrix."""
-    if H.m != perm.a * perm.z or H.n != perm.b * perm.z:
-        raise ValueError("matrix dimensions do not match permutation")
-    return SparseBinMatrix.from_coords(H.m, H.n, perm.row(H.row_ids()), perm.col(H.indices))
+def _grid_transpose(rows: int, cols: int) -> np.ndarray:
+    """Index r*cols + c of a rows x cols grid -> index c*rows + r of its
+    transpose.  _grid_transpose(cols, rows) is the inverse map."""
+    return np.arange(rows * cols).reshape(cols, rows).T.ravel()
 
 
 def in_band(ip, jp, a: int, b: int, m: int, M: int):
@@ -89,7 +58,6 @@ class PermutedCode:
     """Cached band-permuted view of a code, shared by decoder and simulator.
 
     Attributes:
-        perm: the QCPermutation.
         hp: H' as a SparseBinMatrix (rows/cols in permuted order).
         sym_of_col: H' column index -> original symbol index.
         col_of_sym: original symbol index -> H' column index.
@@ -97,12 +65,13 @@ class PermutedCode:
     """
 
     def __init__(self, code: QCCode):
-        base, z = code.base, code.spec.z
-        self.perm = QCPermutation(base.a, base.b, z)
-        self.hp = permute_matrix(code.H, self.perm)
-        self.col_of_sym = self.perm.col(np.arange(code.n))
-        self.sym_of_col = self.perm.col_inv(np.arange(code.n))
-        self.row_orig = self.perm.row_inv(np.arange(code.m))
+        a, b, z = code.base.a, code.base.b, code.spec.z
+        self.col_of_sym = _grid_transpose(b, z)
+        self.sym_of_col = _grid_transpose(z, b)
+        self.row_orig = _grid_transpose(z, a)
+        row_new = _grid_transpose(a, z)
+        self.hp = SparseBinMatrix.from_coords(code.m, code.n, row_new[code.H.row_ids()],
+                                              self.col_of_sym[code.H.indices])
 
 
 def permuted_code(code: QCCode) -> PermutedCode:

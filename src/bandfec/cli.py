@@ -5,6 +5,7 @@ file, a code that encode cannot use, and a size from the command line or a
 file too large to allocate), 3 iterative decoding stalled with ML disabled,
 4 residual system singular, 5 decoded symbols inconsistent (a received
 symbol was corrupt), whether peeling alone or ML elimination decoded them.
+A --losses spec lo:hi:step may list at most 10,000 loss points.
 Set BANDFEC_JOBS to parallelize simulation trials; output is identical
 regardless of the job count.
 """
@@ -26,6 +27,8 @@ EXIT_CODES = {
     DecodeStatus.ML_SINGULAR: 4,
     DecodeStatus.INCONSISTENT: 5,
 }
+
+_MAX_LOSS_POINTS = 10_000
 
 _ENSEMBLES = {
     "band": "band",
@@ -59,12 +62,11 @@ def _parse_losses(parser, spec: str):
         parser.error(f"--losses {spec!r} is not lo:hi:step")
     if not (np.isfinite([lo, hi, step]).all() and step > 0 and lo <= hi):
         parser.error(f"--losses {spec!r} needs finite values, step > 0 and lo <= hi")
-    out = []
-    x = lo
-    while x <= hi + 1e-9:
-        out.append(round(x, 10))
-        x += step
-    return out
+    span = (hi - lo + 1e-9) / step  # the spec lists floor(span) + 1 points
+    if span >= _MAX_LOSS_POINTS:
+        parser.error(f"--losses {spec!r} lists {span + 1:.4g} points; "
+                     f"at most {_MAX_LOSS_POINTS} are allowed")
+    return [round(lo + i * step, 10) for i in range(int(span) + 1)]
 
 
 def cmd_gen(parser, args):

@@ -71,8 +71,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.kind not in ENSEMBLE_KINDS:
             raise ValueError(f"unknown ensemble {self.kind!r}")
-        if self.C <= 0:
-            raise ValueError("C must be positive")
+        if not (math.isfinite(self.C) and self.C > 0):
+            raise ValueError(f"C must be positive and finite, got {self.C}")
         if self.M0 < 0:
             raise ValueError("M0 must be >= 0")
 
@@ -133,7 +133,10 @@ def max_shift(ensemble: EnsembleSpec, z: int) -> int:
     if z < 1:
         raise ValueError("z must be >= 1")
     if ensemble.kind == "band":
-        return int(math.floor(ensemble.C * math.sqrt(z)))
+        M = ensemble.C * math.sqrt(z)
+        if not math.isfinite(M):
+            raise ValueError(f"C={ensemble.C} is too large: C*sqrt(z) overflows")
+        return int(math.floor(M))
     if ensemble.kind == "constant_band":
         return ensemble.M0
     # unconstrained; also protograph, where the value is unused by the

@@ -167,6 +167,12 @@ def _point(x, values, trials):
     return CurvePoint(x=x, mean=float(values.mean()), stderr=stderr, trials=trials)
 
 
+def _sweep(fn, tag, xs, trials, master_seed, args):
+    """Per x, the results of fn(*args(x, seed)) for the seeds of its trials."""
+    return [_pmap(fn, [args(x, trial_seed(master_seed, tag, pi, t)) for t in range(trials)])
+            for pi, x in enumerate(xs)]
+
+
 def ineff_sweep(ensemble: EnsembleSpec, ks, trials: int, master_seed: int,
                 b: int = 15, a: int = 5):
     """Mean inefficiency ratio vs k, for IT-only and ML decoding.
@@ -176,10 +182,9 @@ def ineff_sweep(ensemble: EnsembleSpec, ks, trials: int, master_seed: int,
     inefficiency means and reported as a failure-fraction curve.
     """
     out = {"it": [], "ml": [], "failures": []}
-    for pi, k in enumerate(ks):
-        argss = [(ensemble, k, trial_seed(master_seed, 0, pi, t), b, a)
-                 for t in range(trials)]
-        results = _pmap(inefficiency_trial, argss)
+    sweep = _sweep(inefficiency_trial, 0, ks, trials, master_seed,
+                   lambda k, seed: (ensemble, k, seed, b, a))
+    for k, results in zip(ks, sweep):
         ok = [r for r in results if not r.failed]
         out["it"].append(_point(k, [r.it_inefficiency for r in ok], trials))
         out["ml"].append(_point(k, [r.ml_inefficiency for r in ok], trials))
@@ -190,26 +195,19 @@ def ineff_sweep(ensemble: EnsembleSpec, ks, trials: int, master_seed: int,
 def bler_sweep(ensemble: EnsembleSpec, k: int, losses, trials: int,
                master_seed: int, b: int = 15, a: int = 5):
     """ML block-error rate vs loss fraction, full received set per trial."""
-    points = []
-    for pi, loss in enumerate(losses):
-        argss = [(ensemble, k, b, a, loss, trial_seed(master_seed, 1, pi, t))
-                 for t in range(trials)]
-        results = _pmap(_loss_trial, argss)
-        fails = [0.0 if ok else 1.0 for ok, _ in results]
-        points.append(_point(loss, fails, trials))
-    return points
+    sweep = _sweep(_loss_trial, 1, losses, trials, master_seed,
+                   lambda loss, seed: (ensemble, k, b, a, loss, seed))
+    return [_point(loss, [0.0 if ok else 1.0 for ok, _ in results], trials)
+            for loss, results in zip(losses, sweep)]
 
 
 def ops_vs_loss(ensemble: EnsembleSpec, k: int, losses, trials: int,
                 master_seed: int, b: int = 15, a: int = 5):
     """Mean decoding cost (IT + FE + BS row/symbol operations) vs loss fraction."""
-    points = []
-    for pi, loss in enumerate(losses):
-        argss = [(ensemble, k, b, a, loss, trial_seed(master_seed, 2, pi, t))
-                 for t in range(trials)]
-        results = _pmap(_loss_trial, argss)
-        points.append(_point(loss, [c.total for _, c in results], trials))
-    return points
+    sweep = _sweep(_loss_trial, 2, losses, trials, master_seed,
+                   lambda loss, seed: (ensemble, k, b, a, loss, seed))
+    return [_point(loss, [c.total for _, c in results], trials)
+            for loss, results in zip(losses, sweep)]
 
 
 def ops_vs_k(ensemble: EnsembleSpec, ks, trials: int, master_seed: int,
@@ -219,12 +217,10 @@ def ops_vs_k(ensemble: EnsembleSpec, ks, trials: int, master_seed: int,
     Per trial, the ML operation count at the minimal successful reception
     of an inefficiency trial.  Returns (points, slope).
     """
-    points = []
-    for pi, k in enumerate(ks):
-        argss = [(ensemble, k, trial_seed(master_seed, 3, pi, t), b, a)
-                 for t in range(trials)]
-        results = _pmap(inefficiency_trial, argss)
-        points.append(_point(k, [r.counter.ml_ops for r in results], trials))
+    sweep = _sweep(inefficiency_trial, 3, ks, trials, master_seed,
+                   lambda k, seed: (ensemble, k, seed, b, a))
+    points = [_point(k, [r.counter.ml_ops for r in results], trials)
+              for k, results in zip(ks, sweep)]
     slope = fit_loglog_slope([p.x for p in points], [p.mean for p in points])
     return points, slope
 

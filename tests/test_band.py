@@ -1,9 +1,7 @@
 import numpy as np
 import pytest
 
-from bandfec.band import (QCPermutation, band_shape, in_band, permute_matrix,
-                          permuted_code, verify_band)
-from bandfec.gf2 import SparseBinMatrix
+from bandfec.band import _grid_transpose, band_shape, in_band, permuted_code, verify_band
 from bandfec.qc import EnsembleSpec, make_code
 
 
@@ -27,55 +25,44 @@ class TestBandShape:
 
 class TestPermutation:
     def test_hand_values(self):
-        perm = QCPermutation(a=2, b=3, z=4)
+        a, b, z = 2, 3, 4
+        row, row_inv = _grid_transpose(a, z), _grid_transpose(z, a)
+        col = _grid_transpose(b, z)
         # i = x*z + y -> x + y*a
-        assert int(perm.row(0)) == 0
-        assert int(perm.row(5)) == 1 + 1 * 2        # x=1, y=1
-        assert int(perm.row_inv(3)) == 5
-        assert int(perm.col(4)) == 1 + 0 * 3        # j=4: x=1, y=0
-        assert int(perm.col(3)) == 0 + 3 * 3        # j=3: x=0, y=3
+        assert row[0] == 0
+        assert row[5] == 1 + 1 * 2                  # x=1, y=1
+        assert row_inv[3] == 5
+        assert col[4] == 1 + 0 * 3                  # j=4: x=1, y=0
+        assert col[3] == 0 + 3 * 3                  # j=3: x=0, y=3
 
     def test_bijective(self):
-        perm = QCPermutation(a=5, b=15, z=7)
-        rows = np.arange(5 * 7)
-        cols = np.arange(15 * 7)
-        assert np.array_equal(np.sort(perm.row(rows)), rows)
-        assert np.array_equal(perm.row_inv(perm.row(rows)), rows)
-        assert np.array_equal(perm.col_inv(perm.col(cols)), cols)
-        for i in range(5 * 7):
-            assert int(perm.row_inv(int(perm.row(i)))) == i
-
-    def test_range_checks(self):
-        perm = QCPermutation(a=2, b=3, z=4)
-        with pytest.raises(ValueError):
-            perm.row(8)
-        with pytest.raises(ValueError):
-            perm.col(np.array([0, 12]))
-        with pytest.raises(ValueError):
-            perm.row(-1)
-        with pytest.raises(ValueError):
-            perm.row_inv(8)
+        a, b, z = 5, 15, 7
+        row, row_inv = _grid_transpose(a, z), _grid_transpose(z, a)
+        col, col_inv = _grid_transpose(b, z), _grid_transpose(z, b)
+        rows = np.arange(a * z)
+        cols = np.arange(b * z)
+        assert np.array_equal(np.sort(row), rows)
+        assert np.array_equal(row_inv[row], rows)
+        assert np.array_equal(col_inv[col], cols)
+        for i in range(a * z):
+            assert row_inv[row[i]] == i
 
 
 class TestPermuteMatrix:
     def test_preserves_weights_and_entries(self):
         code = make_code(EnsembleSpec("band"), 240, seed=1)
-        perm = QCPermutation(5, 15, code.spec.z)
-        Hp = permute_matrix(code.H, perm)
+        pc = permuted_code(code)
+        Hp = pc.hp
         assert Hp.indices.size == code.H.indices.size
         assert sorted(code.H.row_weights()) == sorted(Hp.row_weights())
-        # spot-check individual entries through the inverse maps
+        # spot-check individual entries through the index maps
+        row = np.argsort(pc.row_orig)
         d, dp = code.H.to_dense(), Hp.to_dense()
         rng = np.random.default_rng(0)
         for _ in range(100):
             i = int(rng.integers(code.m))
             j = int(rng.integers(code.n))
-            assert d[i, j] == dp[perm.row(i), perm.col(j)]
-
-    def test_dimension_mismatch(self):
-        H = SparseBinMatrix(2, 2, [0, 1, 2], [0, 1])
-        with pytest.raises(ValueError):
-            permute_matrix(H, QCPermutation(2, 3, 4))
+            assert d[i, j] == dp[row[i], pc.col_of_sym[j]]
 
 
 class TestInBand:
@@ -130,9 +117,9 @@ class TestPermutedCode:
         code = make_code(EnsembleSpec("band"), 450, seed=2)
         pc = permuted_code(code)
         assert np.array_equal(pc.sym_of_col[pc.col_of_sym], np.arange(code.n))
-        assert np.array_equal(pc.row_orig[pc.perm.row(np.arange(code.m))], np.arange(code.m))
+        assert np.array_equal(np.sort(pc.row_orig), np.arange(code.m))
         d, dp = code.H.to_dense(), pc.hp.to_dense()
-        assert np.array_equal(dp[:, pc.col_of_sym][pc.perm.row(np.arange(code.m))], d)
+        assert np.array_equal(dp[:, pc.col_of_sym], d[pc.row_orig])
 
     def test_cached(self):
         code = make_code(EnsembleSpec("band"), 450, seed=2)

@@ -77,8 +77,12 @@ class TestGen:
         (["--k", "-10"], "k=-10 is not a positive multiple"),
         (["--a", "5", "--b", "5"], "need b > a"),
         (["--c-const", "0"], "C must be positive"),
+        (["--c-const", "inf"], "C must be positive and finite"),
+        (["--c-const", "nan"], "C must be positive and finite"),
+        (["--c-const", "1e308"], "C*sqrt(z) overflows"),
         (["--k", "20"], "need z > M"),  # band: z=2, M=floor(3 sqrt 2)=4
-    ], ids=["k-zero", "k-negative", "a-equals-b", "c-zero", "z-not-above-M"])
+    ], ids=["k-zero", "k-negative", "a-equals-b", "c-zero", "c-inf", "c-nan",
+            "c-overflow", "z-not-above-M"])
     def test_rejected_code_params(self, tmp_path, capsys, args, expect):
         msg = usage_error(["gen", *args, "--out", tmp_path / "c.txt"], capsys)
         assert expect in msg
@@ -326,16 +330,30 @@ class TestSim:
         assert expect in msg
         assert not (tmp_path / "r.csv").exists()
 
-    def test_losses_zero_step(self):
-        # a zero step used to loop forever, so run it where a timeout can stop it
+    @staticmethod
+    def sim_losses(spec):
+        # specs like these used to loop forever, so run them where a timeout
+        # can stop them
         src = Path(bandfec.__file__).resolve().parents[1]
-        proc = subprocess.run(
+        return subprocess.run(
             [sys.executable, "-m", "bandfec.cli", "sim", "bler", "--k", "240",
-             "--losses", "30:31:0", "--trials", "2"],
+             "--losses", spec, "--trials", "2"],
             env=dict(os.environ, PYTHONPATH=str(src)),
             capture_output=True, text=True, timeout=60)
+
+    def test_losses_zero_step(self):
+        proc = self.sim_losses("30:31:0")
         assert proc.returncode == 2
         assert "step > 0" in proc.stderr
+
+    @pytest.mark.parametrize("spec,count", [("50:60:1e-20", "1e+21"),
+                                            ("0:100:1e-9", "1e+11")],
+                             ids=["step-below-ulp", "too-many-points"])
+    def test_losses_tiny_step(self, spec, count):
+        proc = self.sim_losses(spec)
+        assert proc.returncode == 2
+        assert f"lists {count} points" in proc.stderr
+        assert len(proc.stderr.splitlines()) == 2  # the usage line and one message
 
     def test_constant_band_alias(self, capsys):
         assert run(["sim", "bler", "--ensemble", "constant-band", "--k", "2000",

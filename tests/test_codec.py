@@ -190,27 +190,28 @@ class TestElimination:
 
     def test_matches_dense_oracle(self):
         rng = np.random.default_rng(5)
-        agree = 0
-        while agree < 40:
-            m, n = 12, 9
-            dense = (rng.random((m, n)) < 0.45).astype(np.uint8)
-            A = SparseBinMatrix.from_dense(dense)
-            rhs = rng.integers(0, 256, (m, 2), dtype=np.uint8)
-            # make rhs consistent: re-derive from a planted solution
-            X = rng.integers(0, 256, (n, 2), dtype=np.uint8)
-            rhs = np.zeros((m, 2), dtype=np.uint8)
-            for i in range(m):
-                cols = A.row(i)
-                if cols.size:
-                    rhs[i] = np.bitwise_xor.reduce(X[cols], axis=0)
-            want = dense_solve_oracle(A, rhs)
-            sys = direct_system([list(A.row(i)) for i in range(m)], n, rhs)
-            c = OpCounter()
-            ok = forward_eliminate(sys, c)
-            assert ok == (want is not None)
-            if ok:
-                assert np.array_equal(back_substitute(sys, c), want)
-                agree += 1
+        # 9 columns fit one packed word; 130 need three
+        for m, n, runs in [(12, 9, 40), (136, 130, 3)]:
+            agree = 0
+            while agree < runs:
+                dense = (rng.random((m, n)) < 0.45).astype(np.uint8)
+                A = SparseBinMatrix.from_dense(dense)
+                rhs = rng.integers(0, 256, (m, 2), dtype=np.uint8)
+                # make rhs consistent: re-derive from a planted solution
+                X = rng.integers(0, 256, (n, 2), dtype=np.uint8)
+                rhs = np.zeros((m, 2), dtype=np.uint8)
+                for i in range(m):
+                    cols = A.row(i)
+                    if cols.size:
+                        rhs[i] = np.bitwise_xor.reduce(X[cols], axis=0)
+                want = dense_solve_oracle(A, rhs)
+                sys = direct_system([list(A.row(i)) for i in range(m)], n, rhs)
+                c = OpCounter()
+                ok = forward_eliminate(sys, c)
+                assert ok == (want is not None)
+                if ok:
+                    assert np.array_equal(back_substitute(sys, c), want)
+                    agree += 1
 
 
 def received_after_loss(code, loss, seed, cw=None):

@@ -41,13 +41,16 @@ def naive_minimal_reception(code, order):
 class TestMinimalReception:
     @pytest.mark.parametrize("kind", ["band", "unconstrained", "protograph"])
     def test_matches_rank_search(self, kind):
-        k = 120 if kind == "band" else 90  # band needs z > floor(3*sqrt(z))
-        for t in range(6):
-            code = make_code(EnsembleSpec(kind), k, seed=300 + t)
-            pc = permuted_code(code)
-            order = reception_order(code.n, np.random.default_rng(t))
-            assert minimal_ml_reception(code, pc, order) == \
-                naive_minimal_reception(code, order)
+        # band needs z > floor(3*sqrt(z)); m = k/2 packs into one 64-bit word
+        # at the first k and into 3 to 10 words at the others
+        cases = [(120, 6), (600, 4), (1200, 4)] if kind == "band" else [(90, 6), (300, 4)]
+        for k, seeds in cases:
+            for t in range(seeds):
+                code = make_code(EnsembleSpec(kind), k, seed=300 + t)
+                pc = permuted_code(code)
+                order = reception_order(code.n, np.random.default_rng(t))
+                assert minimal_ml_reception(code, pc, order) == \
+                    naive_minimal_reception(code, order)
 
     def test_it_never_beats_ml(self):
         for t in range(5):
