@@ -76,8 +76,6 @@ class PermutedCode:
 
 def permuted_code(code: QCCode) -> PermutedCode:
     """Band-permuted view, cached on the code instance."""
-    pc = code._cache.get("permuted")
-    if pc is None:
-        pc = PermutedCode(code)
-        code._cache["permuted"] = pc
-    return pc
+    if "permuted" not in code._cache:
+        code._cache["permuted"] = PermutedCode(code)
+    return code._cache["permuted"]

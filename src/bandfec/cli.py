@@ -197,14 +197,14 @@ def build_parser():
     p = sub.add_parser("gen", help="generate a code and write its base-matrix file")
     _add_code_params(p)
     p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_gen)
+    p.set_defaults(func=cmd_gen, sub=p)
 
     p = sub.add_parser("encode", help="encode a payload file into a symbol file")
     p.add_argument("--code", required=True, help="base-matrix file from gen")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--symbol-size", type=int, default=1024)
-    p.set_defaults(func=cmd_encode)
+    p.set_defaults(func=cmd_encode, sub=p)
 
     p = sub.add_parser("decode", help="decode a symbol file back to the payload")
     p.add_argument("--code", required=True)
@@ -212,7 +212,7 @@ def build_parser():
     p.add_argument("--out", required=True)
     p.add_argument("--it-only", action="store_true",
                    help="disable the ML stage (exit 3 on a stopping set)")
-    p.set_defaults(func=cmd_decode)
+    p.set_defaults(func=cmd_decode, sub=p)
 
     p = sub.add_parser("sim", help="run an experiment sweep, output CSV")
     p.add_argument("experiment", choices=["ineff", "bler", "ops-loss", "ops-k"])
@@ -222,14 +222,14 @@ def build_parser():
     p.add_argument("--losses", default=None, help="loss percentages lo:hi:step")
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_sim)
+    p.set_defaults(func=cmd_sim, sub=p)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(parser, args)
+    return args.func(args.sub, args)
 
 
 if __name__ == "__main__":

@@ -15,12 +15,11 @@ incident row; received symbols substitute for free.
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import SparseBinMatrix, pack_pairs
+from .gf2 import SparseBinMatrix, as_words, pack_pairs
 from .qc import QCCode
 from .band import PermutedCode, permuted_code
 
@@ -89,67 +88,51 @@ def encode(code: QCCode, source) -> Codeword:
 
 
 class ReceptionState:
-    """Incremental erasure-decoding state over the original matrix indexing.
+    """Erasure-decoding ledger over the original matrix indexing.
 
-    Tracks, per row, the XOR of currently-known symbols and the count of
-    unknown columns; rows reaching exactly one unknown feed the peeling
-    queue.  Symbol length 0 is supported for pattern-only simulation.
+    ``receive`` records symbols in ``known``/``values``.  ``peel`` derives from
+    them ``row_unknown`` and ``row_acc``, each row's unknown count and XOR of
+    known symbols, then recovers in rounds the unknown of every row left with
+    one, reading only the rows of the last round's symbols.  L may be 0.
     """
 
     def __init__(self, code: QCCode, symbol_size: int):
         self.code = code
         self.L = int(symbol_size)
-        H = code.H
-        adj = code._cache.get("col_rows")
-        if adj is None:
-            adj = H.column_adjacency()
-            code._cache["col_rows"] = adj
-        self.col_rows = adj
         self.known = np.zeros(code.n, dtype=bool)
         self.values = np.zeros((code.n, self.L), dtype=np.uint8)
-        self.row_acc = np.zeros((code.m, self.L), dtype=np.uint8)
-        self.row_unknown = np.asarray(H.row_weights(), dtype=np.int64).copy()
-        self.n_known = 0
-        self._queue = deque(np.nonzero(self.row_unknown == 1)[0].tolist())
 
     @property
     def complete(self):
-        return self.n_known == self.code.n
+        return bool(self.known.all())
 
     def receive(self, j, value=None):
-        """Mark symbol j received; duplicates are ignored."""
-        if self.known[j]:
-            return
+        """Mark symbol j (an index or an index array) received with its value(s)."""
+        self.known[j] = True
         if self.L:
             self.values[j] = value
-        self._mark_known(j, counter=None)
-
-    def _mark_known(self, j, counter):
-        self.known[j] = True
-        self.n_known += 1
-        rows = self.col_rows[j]
-        if self.L:
-            self.row_acc[rows] ^= self.values[j]
-        self.row_unknown[rows] -= 1
-        if counter is not None:
-            counter.it_ops += len(rows)
-        for r in rows:
-            if self.row_unknown[r] == 1:
-                self._queue.append(r)
 
     def peel(self, counter: OpCounter | None = None):
         """Run iterative decoding to completion or a stopping set."""
-        H = self.code.H
-        q = self._queue
-        while q:
-            r = q.popleft()
-            if self.row_unknown[r] != 1:
-                continue
-            cols = H.row(r)
-            j = cols[~self.known[cols]][0]
-            if self.L:
-                self.values[j] = self.row_acc[r]
-            self._mark_known(j, counter=counter)
+        H, known, L = self.code.H, self.known, self.L
+        self.row_unknown = np.bincount(H.row_ids()[~known[H.indices]], minlength=H.m)
+        # unknown values are still zero, so they drop out of the XOR
+        self.row_acc = H.row_xor(self.values) if L else np.zeros((H.m, 0), np.uint8)
+        acc, vals = as_words(self.row_acc), as_words(self.values)
+        HT = SparseBinMatrix.from_coords(H.n, H.m, H.indices, H.row_ids())
+        rows = np.flatnonzero(self.row_unknown == 1)
+        while rows.size:
+            _, cols = H.gather(rows)
+            cols, first = np.unique(cols[~known[cols]], return_index=True)
+            known[cols] = True
+            at, touched = HT.gather(cols)
+            np.subtract.at(self.row_unknown, touched, 1)
+            if L:
+                vals[cols] = acc[rows[first]]
+                np.bitwise_xor.at(acc, touched, vals[cols[at]])
+            if counter is not None:
+                counter.it_ops += touched.size
+            rows = np.unique(touched[self.row_unknown[touched] == 1])
 
 
 @dataclass

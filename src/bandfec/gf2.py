@@ -64,14 +64,29 @@ class SparseBinMatrix:
         d = np.asarray(d)
         return cls.from_coords(d.shape[0], d.shape[1], *np.nonzero(d))
 
-    def column_adjacency(self):
-        """Per-column arrays of row indices (CSC view)."""
-        t = SparseBinMatrix.from_coords(self.n, self.m, self.indices, self.row_ids())
-        ptr = t.indptr.tolist()  # python ints slice faster than numpy scalars
-        return [t.indices[ptr[j]:ptr[j + 1]] for j in range(self.n)]
+    def gather(self, rows):
+        """Position in index array *rows* and column of each nonzero of those rows, in turn."""
+        start = self.indptr[rows]
+        count = self.indptr[rows + 1] - start
+        at = np.repeat(np.arange(len(rows)), count)
+        shift = np.repeat(start - np.cumsum(count) + count, count)  # output slot -> indices
+        return at, self.indices[np.arange(at.size) + shift]
 
-    def row_weights(self):
-        return np.diff(self.indptr)
+    def row_xor(self, X):
+        """(m, L) array whose row i XORs the rows of X at row i's columns, built
+        one row-weight slot at a time so that no temporary exceeds (m, L)."""
+        out = np.zeros((self.m, X.shape[1]), dtype=np.uint8)
+        acc, xs = as_words(out), as_words(X)
+        start, weight = self.indptr[:-1], np.diff(self.indptr)
+        for s in range(weight.max(initial=0)):
+            slot = start + np.minimum(s, weight - 1)  # rows without slot s are masked out
+            np.bitwise_xor(acc, xs[self.indices[slot]], out=acc, where=(weight > s)[:, None])
+        return out
+
+
+def as_words(X):
+    """C-contiguous (rows, L) uint8 X as 64-bit words if L % 8 == 0, else X."""
+    return X.view(np.uint64) if X.shape[1] % 8 == 0 else X
 
 
 def syndrome_is_zero(H: SparseBinMatrix, X) -> bool:

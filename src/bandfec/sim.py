@@ -5,13 +5,14 @@ from the master seed, so results are reproducible bit-for-bit and can be
 distributed over processes (BANDFEC_JOBS) without changing the output.
 
 Loss sweeps erase a fixed count round(p*n) of randomly chosen symbols
-(random permutation before transmission); inefficiency trials feed the
-permuted symbol stream one at a time and report consumed/k at the first
-point where decoding completes.
+(random permutation before transmission); inefficiency trials report
+consumed/k at the shortest prefix of a random symbol order that decodes,
+found by one elimination pass (hybrid) and by bisection (peeling alone).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import os
 from dataclasses import dataclass
@@ -93,14 +94,16 @@ def minimal_ml_reception(code: QCCode, pc: PermutedCode, order) -> int:
 
 
 def it_completion_time(code: QCCode, order) -> int:
-    """Consumed symbols until iterative decoding alone completes."""
-    state = ReceptionState(code, 0)
-    for t, j in enumerate(order, start=1):
-        state.receive(int(j))
+    """Consumed symbols until iterative decoding alone completes, found by
+    bisection: peeling a superset of the received symbols recovers a superset,
+    and k-1 symbols leave m+1 unknowns, more than the m rows can recover."""
+    def complete(t):
+        state = ReceptionState(code, 0)
+        state.receive(order[:t])
         state.peel()
-        if state.complete:
-            return t
-    return code.n
+        return state.complete
+
+    return code.k + bisect.bisect_left(range(code.k, code.n + 1), True, key=complete)
 
 
 def inefficiency_trial(ensemble: EnsembleSpec, k: int, seed: int,

@@ -5,6 +5,10 @@ from bandfec.band import _grid_transpose, band_shape, in_band, permuted_code, ve
 from bandfec.qc import EnsembleSpec, make_code
 
 
+def row_weights(A):
+    return np.bincount(A.row_ids(), minlength=A.m)
+
+
 class TestBandShape:
     def test_reference_sizes(self):
         s = band_shape(5, 15, 42)
@@ -54,7 +58,7 @@ class TestPermuteMatrix:
         pc = permuted_code(code)
         Hp = pc.hp
         assert Hp.indices.size == code.H.indices.size
-        assert sorted(code.H.row_weights()) == sorted(Hp.row_weights())
+        assert sorted(row_weights(code.H)) == sorted(row_weights(Hp))
         # spot-check individual entries through the index maps
         row = np.argsort(pc.row_orig)
         d, dp = code.H.to_dense(), Hp.to_dense()

@@ -18,11 +18,14 @@ def run(argv):
 
 
 def usage_error(argv, capsys):
-    """Run a command that must fail as a usage error; returns its message."""
+    """Run a command that must fail as a usage error, printing the usage of
+    that command; returns its message."""
     with pytest.raises(SystemExit) as exc:
         run(argv)
     assert exc.value.code == 2
-    return capsys.readouterr().err.strip().splitlines()[-1]
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err[0].startswith(f"usage: bandfec {argv[0]} ")
+    return err[-1]
 
 
 def run_capped(argv):
@@ -353,7 +356,11 @@ class TestSim:
         proc = self.sim_losses(spec)
         assert proc.returncode == 2
         assert f"lists {count} points" in proc.stderr
-        assert len(proc.stderr.splitlines()) == 2  # the usage line and one message
+        # the usage of sim, continued on indented lines, and one message
+        usage, *more, message = proc.stderr.splitlines()
+        assert usage.startswith("usage: bandfec sim ")
+        assert all(line.startswith(" ") for line in more)
+        assert message.startswith("bandfec sim: error: ")
 
     def test_constant_band_alias(self, capsys):
         assert run(["sim", "bler", "--ensemble", "constant-band", "--k", "2000",

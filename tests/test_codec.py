@@ -127,7 +127,29 @@ class TestPeeling:
         state = ReceptionState(code, 0)
         state.receive(0)
         state.receive(0)
-        assert state.n_known == 1
+        assert state.known.sum() == 1
+
+    @pytest.mark.parametrize("loss", [0.05, 0.30])
+    def test_receive_index_array(self, loss):
+        # one call with an index array leaves the ledger of one call per index
+        code = make_code(EnsembleSpec("band"), 480, seed=7)
+        rng = np.random.default_rng(5)
+        _, cw = random_codeword(code, 4, rng)
+        got = rng.permutation(code.n)[int(loss * code.n):]
+        bulk, single = ReceptionState(code, 4), ReceptionState(code, 4)
+        bulk.receive(got, cw.symbols[got])
+        for j in got:
+            single.receive(int(j), cw.symbols[j])
+        ledgers = []
+        for state in (bulk, single):
+            c = OpCounter()
+            state.peel(c)
+            ledgers.append((c.it_ops, state.known, state.values, state.row_unknown,
+                            state.row_acc))
+        assert ledgers[0][0] == ledgers[1][0] > 0
+        for a, b in zip(ledgers[0][1:], ledgers[1][1:]):
+            assert np.array_equal(a, b)
+        assert bulk.complete == (loss < 0.1)
 
     def test_determinism(self):
         code = make_code(EnsembleSpec("band"), 480, seed=6)
@@ -241,7 +263,7 @@ class TestResidual:
         assert not state.complete
         pc = permuted_code(code)
         sys = build_residual(code, pc, state)
-        assert sys.ncols == code.n - state.n_known
+        assert sys.ncols == code.n - state.known.sum()
         assert sys.nrows >= sys.ncols
         assert sys.ncols <= code.n - code.k and sys.nrows <= code.m
         # each residual row's rhs is the XOR of that row's known symbols

@@ -44,10 +44,29 @@ class TestSparseBinMatrix:
         with pytest.raises(ValueError, match="not strictly increasing"):
             SparseBinMatrix.from_coords(7, 9, np.append(r, r[0]), np.append(c, c[0]))
 
-    def test_column_adjacency(self):
+    def test_gather(self):
+        A = from_rows(6, [[], [0, 2, 3, 5], [], [1], [1, 2, 4]])
+        d = A.to_dense()
+        for rows in ([], [2], [1, 3], [4, 0, 1], [3, 3, 4]):
+            at, cols = A.gather(np.array(rows, dtype=np.int64))
+            want = [(i, c) for i, r in enumerate(rows) for c in np.flatnonzero(d[r])]
+            assert list(zip(at.tolist(), cols.tolist())) == want
+
+    def test_gather_columns(self):
+        # columns' rows, as peeling reads them, from the transpose
         A = from_rows(3, [[0, 2], [1], [1, 2]])
-        adj = A.column_adjacency()
-        assert [list(a) for a in adj] == [[0], [1, 2], [0, 2]]
+        T = SparseBinMatrix.from_coords(A.n, A.m, A.indices, A.row_ids())
+        at, rows = T.gather(np.array([2, 0, 1]))
+        assert at.tolist() == [0, 0, 1, 2, 2] and rows.tolist() == [0, 2, 0, 1, 2]
+
+    @pytest.mark.parametrize("L", [0, 3, 8])
+    def test_row_xor(self, L):
+        A = from_rows(6, [[], [0, 2, 3, 5], [], [1], [1, 2, 4]])
+        X = np.random.default_rng(L).integers(0, 256, (6, L), dtype=np.uint8)
+        d = A.to_dense()
+        want = np.array([np.bitwise_xor.reduce(X[d[i] == 1], axis=0) for i in range(A.m)],
+                        dtype=np.uint8).reshape(A.m, L)
+        assert np.array_equal(A.row_xor(X), want)
 
 
 class TestSyndrome:

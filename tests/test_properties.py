@@ -1,26 +1,38 @@
 """Property tests of the hybrid decoder and the symbol- and base-matrix-file readers.
 
 The decoder's verdicts are checked against the dense reference solvers in
-``bandfec.gf2``; small codes keep each example to milliseconds.
+``bandfec.gf2``, and its round-based peeling against a textbook peeling
+queue; small codes keep each example to milliseconds.
 """
+
+from collections import deque
+from unittest import mock
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from bandfec.codec import DecodeStatus, encode, hybrid_decode, read_symbols
+from bandfec.codec import (DecodeStatus, OpCounter, ReceptionState, encode, hybrid_decode,
+                           read_symbols)
 from bandfec.gf2 import SparseBinMatrix, dense_solve_oracle, rank_oracle, syndrome_is_zero
 from bandfec.qc import BaseMatrix, EnsembleSpec, ExpansionSpec, make_code, read_base_matrix
+from bandfec.sim import it_completion_time, reception_order
 
 
 @st.composite
-def decodes(draw):
-    """A small band or unconstrained code, a codeword, at most m erasures and 0-2 bit flips."""
-    kind = draw(st.sampled_from(["band", "unconstrained"]))
+def decodes(draw, kinds=("band", "unconstrained"), sizes=(0, 1, 3)):
+    """A small code, a codeword, at most m erasures and 0-2 bit flips.
+
+    A protograph code cannot be encoded, so its codeword is the zero word.
+    """
+    kind = draw(st.sampled_from(kinds))
     z = draw(st.integers(10, 24) if kind == "band" else st.integers(1, 24))
     code = make_code(EnsembleSpec(kind), 10 * z, seed=draw(st.integers(0, 2**16)))
-    L = draw(st.sampled_from([0, 1, 3]))
+    L = draw(st.sampled_from(sizes))
     rng = np.random.default_rng(draw(st.integers(0, 2**32)))
-    cw = encode(code, rng.integers(0, 256, (code.k, L), dtype=np.uint8)).symbols
+    if kind == "protograph":
+        cw = np.zeros((code.n, L), dtype=np.uint8)
+    else:
+        cw = encode(code, rng.integers(0, 256, (code.k, L), dtype=np.uint8)).symbols
     # erasure counts up to m, weighted towards the ML threshold near 0.9 m
     share = draw(st.sampled_from([0.0, 0.3, 0.6, 0.8, 0.85, 0.9, 0.95, 1.0]))
     erased = np.sort(rng.permutation(code.n)[:int(share * code.m)])
@@ -63,6 +75,67 @@ def test_decode_against_oracles(case):
     elif full_rank:
         assert out.status in (DecodeStatus.SUCCESS, DecodeStatus.INCONSISTENT)
         assert (out.status is DecodeStatus.INCONSISTENT) == (dense_solve_oracle(A, rhs) is None)
+
+
+def reference_peel(state, counter=None):
+    """Textbook peeling, as a stand-in for ReceptionState.peel: a queue of the
+    rows with one unknown column, recovering one symbol at a time."""
+    H, known, values = state.code.H, state.known, state.values
+    dense = H.to_dense().astype(bool)
+    state.row_unknown = (dense & ~known).sum(axis=1)
+    # unknown values are zero, so each row's XOR covers its known symbols only
+    state.row_acc = np.array([np.bitwise_xor.reduce(values[H.row(i)], axis=0)
+                              for i in range(H.m)], np.uint8).reshape(H.m, state.L)
+    queue = deque(np.flatnonzero(state.row_unknown == 1).tolist())
+    while queue:
+        r = queue.popleft()
+        if state.row_unknown[r] == 1:
+            j = next(c for c in H.row(r) if not known[c])
+            known[j], values[j] = True, state.row_acc[r]
+            rows = np.flatnonzero(dense[:, j])
+            state.row_acc[rows] ^= values[j]
+            state.row_unknown[rows] -= 1
+            queue.extend(rows[state.row_unknown[rows] == 1].tolist())
+            if counter is not None:
+                counter.it_ops += rows.size
+
+
+def peeled(code, received, L, peel):
+    state = ReceptionState(code, L)
+    for j, v in received.items():
+        state.receive(j, v)
+    counter = OpCounter()
+    peel(state, counter)
+    return state, counter.it_ops
+
+
+@settings(max_examples=300)
+@given(decodes(kinds=("band", "unconstrained", "protograph"), sizes=(0, 1, 3, 8)))
+def test_peel_matches_reference(case):
+    code, cw, erased, received, L, flips = case
+    got, got_ops = peeled(code, received, L, ReceptionState.peel)
+    want, want_ops = peeled(code, received, L, reference_peel)
+    assert got_ops == want_ops
+    fields = ["known", "row_unknown"] + ([] if flips else ["values", "row_acc"])
+    for name in fields:
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
+    with mock.patch.object(ReceptionState, "peel", reference_peel):
+        reference = hybrid_decode(code, received, L)
+    assert hybrid_decode(code, received, L).status is reference.status
+
+
+@settings(max_examples=40)
+@given(decodes(kinds=("band", "unconstrained", "protograph"), sizes=(0,)),
+       st.integers(0, 2**32))
+def test_it_completion_time_is_first_complete_prefix(case, seed):
+    code = case[0]
+    order = reception_order(code.n, np.random.default_rng(seed))
+
+    def complete(t):
+        state, _ = peeled(code, dict.fromkeys(order[:t].tolist()), 0, reference_peel)
+        return state.complete
+
+    assert it_completion_time(code, order) == next(t for t in range(code.n + 1) if complete(t))
 
 
 big = st.integers(-2**62, 2**62)
