@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import SparseBinMatrix
 from .qc import QCCode
 
 
@@ -49,33 +48,32 @@ def in_band(ip, jp, a: int, b: int, m: int, M: int):
     return first | (-d >= b * m - a * b * (M + 1))
 
 
-def verify_band(Hp: SparseBinMatrix, a: int, b: int, M: int) -> bool:
-    """True iff every stored nonzero of the permuted matrix lies in the band."""
-    return bool(np.all(in_band(Hp.row_ids(), Hp.indices, a, b, Hp.m, M)))
+def verify_band(code: QCCode, M: int) -> bool:
+    """True iff every nonzero of H, relabelled into H', lies in the band."""
+    pc = permuted_code(code)
+    return bool(np.all(in_band(pc.row_of[code.H.row_ids()], pc.col_of_sym[code.H.indices],
+                               code.base.a, code.base.b, code.m, M)))
 
 
 class PermutedCode:
-    """Cached band-permuted view of a code, shared by decoder and simulator.
+    """Index maps of a code's band permutation H -> H', shared by decoder and
+    simulator; H' itself is never built.
 
     Attributes:
-        hp: H' as a SparseBinMatrix (rows/cols in permuted order).
-        sym_of_col: H' column index -> original symbol index.
-        col_of_sym: original symbol index -> H' column index.
+        row_of: original row index -> H' row index.
         row_orig: H' row index -> original row index.
+        col_of_sym: original symbol index -> H' column index.
+        sym_of_col: H' column index -> original symbol index.
     """
 
     def __init__(self, code: QCCode):
         a, b, z = code.base.a, code.base.b, code.spec.z
+        self.row_of = _grid_transpose(a, z)
+        self.row_orig = _grid_transpose(z, a)
         self.col_of_sym = _grid_transpose(b, z)
         self.sym_of_col = _grid_transpose(z, b)
-        self.row_orig = _grid_transpose(z, a)
-        row_new = _grid_transpose(a, z)
-        self.hp = SparseBinMatrix.from_coords(code.m, code.n, row_new[code.H.row_ids()],
-                                              self.col_of_sym[code.H.indices])
 
 
 def permuted_code(code: QCCode) -> PermutedCode:
-    """Band-permuted view, cached on the code instance."""
-    if "permuted" not in code._cache:
-        code._cache["permuted"] = PermutedCode(code)
-    return code._cache["permuted"]
+    """Band-permutation index maps of *code*."""
+    return PermutedCode(code)

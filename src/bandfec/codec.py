@@ -19,11 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import SparseBinMatrix, as_words, pack_pairs
+from .gf2 import _ONE, SparseBinMatrix, as_words, pack_pairs
 from .qc import QCCode
 from .band import PermutedCode, permuted_code
-
-_ONE = np.uint64(1)
 
 
 @dataclass
@@ -114,12 +112,11 @@ class ReceptionState:
 
     def peel(self, counter: OpCounter | None = None):
         """Run iterative decoding to completion or a stopping set."""
-        H, known, L = self.code.H, self.known, self.L
+        H, HT, known, L = self.code.H, self.code.HT, self.known, self.L
         self.row_unknown = np.bincount(H.row_ids()[~known[H.indices]], minlength=H.m)
         # unknown values are still zero, so they drop out of the XOR
         self.row_acc = H.row_xor(self.values) if L else np.zeros((H.m, 0), np.uint8)
         acc, vals = as_words(self.row_acc), as_words(self.values)
-        HT = SparseBinMatrix.from_coords(H.n, H.m, H.indices, H.row_ids())
         rows = np.flatnonzero(self.row_unknown == 1)
         while rows.size:
             _, cols = H.gather(rows)
@@ -142,8 +139,6 @@ class ResidualSystem:
     rhs: np.ndarray        # (m', L) uint8
     ncols: int             # n'
     col_map: np.ndarray    # residual column -> original symbol index
-    rows_hp: np.ndarray    # residual row -> H' row index
-    cols_hp: np.ndarray    # residual column -> H' column index
     singular_col: int = -1
 
     @property
@@ -159,20 +154,18 @@ class ResidualSystem:
 
 def build_residual(code: QCCode, pc: PermutedCode, state: ReceptionState) -> ResidualSystem:
     """Assemble the residual system in H' row/column order after an IT stall."""
-    hp = pc.hp
-    unknown_hp = ~state.known[pc.sym_of_col]
-    rows_sel = np.nonzero(state.row_unknown[pc.row_orig] > 0)[0]
-    ncols = int(unknown_hp.sum())
-    newcol = np.cumsum(unknown_hp) - 1
-    rmap = np.full(hp.m, -1, dtype=np.int64)
-    rmap[rows_sel] = np.arange(rows_sel.size)
-    keep = unknown_hp[hp.indices]  # kept nonzeros necessarily sit in selected rows
-    bits = pack_pairs(rows_sel.size, ncols, rmap[hp.row_ids()[keep]], newcol[hp.indices[keep]])
-    rhs = state.row_acc[pc.row_orig[rows_sel]].copy()
-    cols_hp = np.nonzero(unknown_hp)[0]
-    return ResidualSystem(bits=bits, rhs=rhs, ncols=ncols,
-                          col_map=pc.sym_of_col[cols_hp],
-                          rows_hp=rows_sel, cols_hp=cols_hp)
+    H, known = code.H, state.known
+    rows = pc.row_orig[state.row_unknown[pc.row_orig] > 0]  # original rows, H' order
+    col_map = pc.sym_of_col[~known[pc.sym_of_col]]
+    res_row = np.full(H.m, -1, dtype=np.int64)
+    res_row[rows] = np.arange(rows.size)
+    res_col = np.full(H.n, -1, dtype=np.int64)
+    res_col[col_map] = np.arange(col_map.size)
+    keep = ~known[H.indices]  # kept nonzeros necessarily sit in selected rows
+    bits = pack_pairs(rows.size, col_map.size, res_row[H.row_ids()[keep]],
+                      res_col[H.indices[keep]])
+    return ResidualSystem(bits=bits, rhs=state.row_acc[rows], ncols=col_map.size,
+                          col_map=col_map)
 
 
 def forward_eliminate(sys: ResidualSystem, counter: OpCounter) -> bool:

@@ -5,7 +5,8 @@ Symbols are fixed-length byte blocks (numpy uint8 arrays); a codeword is a
 sorted column indices (CSR-style); other modules build and read them only
 through SparseBinMatrix's methods, never its row pointers.  The dense solvers
 at the bottom are deliberately naive reference implementations used as test
-oracles; the production elimination path lives in :mod:`bandfec.codec`.
+oracles; the production eliminations are :mod:`bandfec.codec`'s and
+:func:`bandfec.sim.minimal_ml_reception`.
 """
 
 from __future__ import annotations
@@ -94,11 +95,7 @@ def syndrome_is_zero(H: SparseBinMatrix, X) -> bool:
     X = np.asarray(X, dtype=np.uint8)
     if X.shape[0] != H.n:
         raise ValueError(f"expected {H.n} symbols, got {X.shape[0]}")
-    for i in range(H.m):
-        cols = H.row(i)
-        if cols.size and np.bitwise_xor.reduce(X[cols], axis=0).any():
-            return False
-    return True
+    return not H.row_xor(np.ascontiguousarray(X)).any()
 
 
 # ---------------------------------------------------------------------------

@@ -82,7 +82,10 @@ class QCCode:
     base: BaseMatrix
     spec: ExpansionSpec
     H: SparseBinMatrix
-    _cache: dict = field(default_factory=dict, repr=False)
+    HT: SparseBinMatrix = field(init=False, repr=False)  # H's transpose, for peeling
+
+    def __post_init__(self):
+        self.HT = SparseBinMatrix.from_coords(self.n, self.m, self.H.indices, self.H.row_ids())
 
     @property
     def m(self):

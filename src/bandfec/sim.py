@@ -20,12 +20,10 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .gf2 import pack_pairs
+from .gf2 import _ONE, pack_pairs
 from .qc import EnsembleSpec, QCCode, make_code
 from .band import PermutedCode, permuted_code
 from .codec import DecodeStatus, OpCounter, ReceptionState, hybrid_decode
-
-_ONE = np.uint64(1)
 
 
 @dataclass
@@ -67,13 +65,13 @@ def minimal_ml_reception(code: QCCode, pc: PermutedCode, order) -> int:
     """
     n, m, k = code.n, code.m, code.k
     N = n - k  # decoding cannot complete with fewer than k symbols
-    # row i of the packed matrix is the H' column of symbol order[n-1-i]
+    # row i of the packed matrix is the H column of symbol order[n-1-i], its
+    # bits in H' row order
     pos = np.full(n, -1, dtype=np.int64)
-    pos[pc.col_of_sym[order[k:][::-1]]] = np.arange(N)
-    hp = pc.hp
-    pos_nz = pos[hp.indices]
+    pos[order[k:][::-1]] = np.arange(N)
+    pos_nz = pos[code.H.indices]
     tail = pos_nz >= 0
-    bits = pack_pairs(N, m, pos_nz[tail], hp.row_ids()[tail])
+    bits = pack_pairs(N, m, pos_nz[tail], pc.row_of[code.H.row_ids()[tail]])
     not_pivot = np.ones(N, dtype=bool)
     for c in range(m):
         w, sh = divmod(c, 64)

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import resource
 import subprocess
@@ -288,6 +289,29 @@ class TestSim:
         assert run(["sim", "ops-k", "--ensemble", "band", "--ks", "240,480",
                     "--trials", "3", "--seed", "6"]) == 0
         assert "loglog_slope=" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("args,digest", [
+        (["ineff", "--ensemble", "band", "--ks", "600,1200", "--trials", "20", "--seed", "1"],
+         "98ea8088d4fc2361f4aa3a2638a24e46e7353182ebc489c0d49151ad74f211cd"),
+        (["bler", "--ensemble", "unconstrained", "--k", "600", "--losses", "30:36:2",
+          "--trials", "20", "--seed", "2"],
+         "444594d7a99f5264530ddf0726e0a4c8a5e46e325b4859d4919e24127ee0498f"),
+        (["ops-loss", "--ensemble", "band", "--k", "600", "--losses", "20:36:4",
+          "--trials", "20", "--seed", "1"],
+         "5aa442bf5ca4596e5b88dd6cee212b9cf3195de4d6f3e3719274f6ed4e31b843"),
+        (["ops-k", "--ensemble", "band", "--ks", "600,1200,2400", "--trials", "10",
+          "--seed", "2"],
+         "115e6b595946cb45cc24092c54b281705a90dee6c55b865c7e1ddb6f05d4c23c"),
+    ], ids=["ineff", "bler", "ops-loss", "ops-k"])
+    def test_recorded_csv(self, tmp_path, capsys, monkeypatch, args, digest):
+        # CSVs recorded from earlier versions; the sweeps are pure functions
+        # of their seeds, so a refactor must reproduce them byte for byte
+        monkeypatch.delenv("BANDFEC_JOBS", raising=False)
+        out = tmp_path / "sweep.csv"
+        assert run(["sim", *args, "--out", out]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+        if args[0] == "ops-k":
+            assert "loglog_slope=1.4459\n" in capsys.readouterr().out
 
     def test_rerun_byte_identical(self, tmp_path):
         outs = []

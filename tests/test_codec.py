@@ -173,9 +173,7 @@ def direct_system(rows, ncols, rhs):
     colid = np.concatenate([np.asarray(r) for r in rows]) if rows else np.zeros(0, int)
     bits = pack_pairs(len(rows), ncols, rowid, colid)
     return ResidualSystem(bits=bits, rhs=np.asarray(rhs, dtype=np.uint8),
-                          ncols=ncols, col_map=np.arange(ncols),
-                          rows_hp=np.arange(len(rows)),
-                          cols_hp=np.arange(ncols))
+                          ncols=ncols, col_map=np.arange(ncols))
 
 
 class TestElimination:
@@ -255,6 +253,11 @@ class TestResidual:
         state.peel()
         return state
 
+    @staticmethod
+    def rows_hp(pc, state):
+        """H' row of each residual row: the rows left with an unknown, in H' order."""
+        return np.flatnonzero(state.row_unknown[pc.row_orig] > 0)
+
     def test_dimensions_and_rhs(self):
         code = make_code(EnsembleSpec("band"), 960, seed=7)
         rng = np.random.default_rng(6)
@@ -268,7 +271,7 @@ class TestResidual:
         assert sys.ncols <= code.n - code.k and sys.nrows <= code.m
         # each residual row's rhs is the XOR of that row's known symbols
         for r in [0, sys.nrows // 2, sys.nrows - 1]:
-            orig = pc.row_orig[sys.rows_hp[r]]
+            orig = pc.row_orig[self.rows_hp(pc, state)[r]]
             cols = code.H.row(orig)
             known = cols[state.known[cols]]
             acc = (np.bitwise_xor.reduce(cw.symbols[known], axis=0)
@@ -281,10 +284,12 @@ class TestResidual:
         pc = permuted_code(code)
         sys = build_residual(code, pc, state)
         sp = sys.to_sparse()
+        rows_hp, cols_hp = self.rows_hp(pc, state), pc.col_of_sym[sys.col_map]
+        assert rows_hp.size == sys.nrows
         a, b, M = 5, 15, code.base.M
         for r in range(sp.m):
             for cc in sp.row(r):
-                assert in_band(int(sys.rows_hp[r]), int(sys.cols_hp[cc]),
+                assert in_band(int(rows_hp[r]), int(cols_hp[cc]),
                                a, b, code.m, M)
 
     def test_empty_when_complete(self):
@@ -325,6 +330,17 @@ class TestMLDecode:
         assert out.status is DecodeStatus.SUCCESS
         assert out.residual_rows >= out.residual_cols > 0  # peeling stalled
         assert np.array_equal(out.symbols, cw.symbols)
+
+    @pytest.mark.parametrize("L", [3, 1024])
+    def test_transfer_block_at_scale(self, L):
+        # a band k=10000 block at 30% loss, as a bulk transfer sees it: the
+        # residual spans many packed words and every payload byte is solved
+        code = make_code(EnsembleSpec("band"), 10000, seed=1)
+        _, cw = random_codeword(code, L, np.random.default_rng(L))
+        out = hybrid_decode(code, received_after_loss(code, 0.30, L, cw), L)
+        assert out.status is DecodeStatus.SUCCESS
+        assert np.array_equal(out.symbols, cw.symbols)
+        assert out.residual_cols > 192
 
     def test_singular_leaves_state(self):
         # nothing received: both symbols unknown, the 2x2 residual has rank 1

@@ -81,6 +81,20 @@ class TestSyndrome:
         rng = np.random.default_rng(2)
         assert syndrome_is_zero(H, rng.integers(0, 256, (3, 4), dtype=np.uint8))
 
+    @pytest.mark.parametrize("L", [0, 3, 8])
+    def test_column_slice(self, L):
+        # every other column of a wider block: not C-contiguous unless empty
+        H = from_rows(4, [[0, 1, 3], [2], [1, 2]])
+        wide = np.random.default_rng(L).integers(0, 256, (4, 2 * L), dtype=np.uint8)
+        wide[1:3] = 0
+        wide[3] = wide[0]
+        X = wide[:, ::2]
+        assert X.shape == (4, L) and (L == 0 or not X.flags.c_contiguous)
+        assert syndrome_is_zero(H, X)
+        if L:
+            wide[3, 2 * L - 2] ^= 1  # X[3, L-1]
+            assert not syndrome_is_zero(H, X)
+
     def test_dimension_mismatch(self):
         H = from_rows(2, [[0, 1]])
         with pytest.raises(ValueError):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bandfec.qc import (BaseMatrix, EnsembleSpec, ExpansionSpec, build_rra_base,
+from bandfec.gf2 import SparseBinMatrix
+from bandfec.qc import (BaseMatrix, EnsembleSpec, ExpansionSpec, QCCode, build_rra_base,
                         expand, load_code, make_code, max_shift, read_base_matrix,
                         sample_shifts, write_base_matrix)
 
@@ -183,3 +184,15 @@ class TestFileFormat:
         path.write_text("1 2 0 4 fancy 0 0\n0 0\n")
         with pytest.raises(ValueError):
             read_base_matrix(path)
+
+
+class TestTranspose:
+    def test_made_code(self):
+        code = make_code(EnsembleSpec("band"), 240, seed=4)
+        assert np.array_equal(code.HT.to_dense(), code.H.to_dense().T)
+
+    def test_bare_matrix(self):
+        # a code around a bare matrix, as the peeling tests build one
+        H = SparseBinMatrix.from_coords(3, 5, [2, 0, 2, 0], [1, 4, 0, 1])
+        code = QCCode(base=None, spec=None, H=H)
+        assert np.array_equal(code.HT.to_dense(), H.to_dense().T)
