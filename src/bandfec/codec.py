@@ -3,8 +3,9 @@
 The iterative phase peels degree-one parity rows on the original matrix
 indexing.  When it stalls, the residual system is assembled in the
 band-permuted (H') row/column order and solved by Gaussian elimination on
-bit-packed rows, which keeps the work inside the pseudo-band for band
-codes while remaining a plain textbook elimination.
+bit-packed rows with :mod:`bandfec.gf2`'s word-block kernels: each pivot
+step touches only the rows and words that can be nonzero, which for band
+codes is the pseudo-band.
 
 Operation accounting: one row/symbol operation is one row-into-row XOR
 including its right-hand-side symbol; row swaps are free.  Iterative
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import _ONE, SparseBinMatrix, as_words, pack_pairs
+from .gf2 import SparseBinMatrix, as_words, eliminate, pack_pairs, substitute
 from .qc import QCCode
 from .band import PermutedCode, permuted_code
 
@@ -171,40 +172,21 @@ def build_residual(code: QCCode, pc: PermutedCode, state: ReceptionState) -> Res
 def forward_eliminate(sys: ResidualSystem, counter: OpCounter) -> bool:
     """Triangularize in place; False on rank deficiency.
 
-    Pivot policy: lowest row index at or below the diagonal, which keeps
-    supradiagonal fill inside the q+b band for band-permuted systems.
+    Pivot policy: lowest current position at or below the diagonal, which
+    keeps supradiagonal fill inside the q+b band for band-permuted systems.
+    Step c reads only the rows at or below the diagonal with a nonzero word
+    c // 64 and XORs up to the pivot row's last nonzero word, past which it
+    is zero (:func:`bandfec.gf2.eliminate`).
     """
-    bits, rhs = sys.bits, sys.rhs
-    for c in range(sys.ncols):
-        w, sh = divmod(c, 64)
-        col = (bits[c:, w] >> np.uint64(sh)) & _ONE
-        nz = np.nonzero(col)[0]
-        if nz.size == 0:
-            sys.singular_col = c
-            return False
-        piv = c + nz[0]
-        if piv != c:
-            bits[[c, piv]] = bits[[piv, c]]
-            rhs[[c, piv]] = rhs[[piv, c]]
-        tg = c + nz[1:]
-        if tg.size:
-            bits[tg] ^= bits[c]
-            rhs[tg] ^= rhs[c]
-            counter.fe_ops += int(tg.size)
-    return True
+    ops, sys.singular_col = eliminate(sys.bits, sys.rhs, sys.ncols)
+    counter.fe_ops += ops
+    return sys.singular_col < 0
 
 
 def back_substitute(sys: ResidualSystem, counter: OpCounter) -> np.ndarray:
     """Recover unknowns from the triangularized system, last column first."""
-    bits, rhs = sys.bits, sys.rhs
-    for c in range(sys.ncols - 1, -1, -1):
-        w, sh = divmod(c, 64)
-        col = (bits[:c, w] >> np.uint64(sh)) & _ONE
-        rows = np.nonzero(col)[0]
-        if rows.size:
-            rhs[rows] ^= rhs[c]
-            counter.bs_ops += int(rows.size)
-    return rhs[:sys.ncols]
+    counter.bs_ops += substitute(sys.bits, sys.rhs, sys.ncols)
+    return sys.rhs[:sys.ncols]
 
 
 def hybrid_decode(code: QCCode, received, symbol_size: int,

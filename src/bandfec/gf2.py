@@ -4,9 +4,10 @@ Symbols are fixed-length byte blocks (numpy uint8 arrays); a codeword is a
 2-D array of shape (n, L).  Binary matrices are stored sparsely as per-row
 sorted column indices (CSR-style); other modules build and read them only
 through SparseBinMatrix's methods, never its row pointers.  The dense solvers
-at the bottom are deliberately naive reference implementations used as test
-oracles; the production eliminations are :mod:`bandfec.codec`'s and
-:func:`bandfec.sim.minimal_ml_reception`.
+are deliberately naive reference implementations used as test oracles; the
+production eliminations are the word-block kernels at the bottom,
+:func:`eliminate` and :func:`substitute`, which :mod:`bandfec.codec`'s
+decoder and :func:`bandfec.sim.minimal_ml_reception` call.
 """
 
 from __future__ import annotations
@@ -157,7 +158,11 @@ def rank_oracle(A: SparseBinMatrix) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Bit-packed helpers shared by the production elimination kernels.
+# Bit-packed elimination.  Row i of an (rows, words) uint64 array holds bit c
+# of row i at bit c % 64 of word c // 64.
+
+_BIT = _ONE << np.arange(64, dtype=np.uint64)
+
 
 def pack_pairs(m_rows, n_cols, row_idx, col_idx):
     """Pack coordinate pairs into an (m_rows, ceil(n_cols/64)) uint64 bit matrix."""
@@ -170,3 +175,79 @@ def pack_pairs(m_rows, n_cols, row_idx, col_idx):
                          _ONE << (col_idx & 63).astype(np.uint64))
     return bits
 
+
+def eliminate(bits, rhs, ncols, active=None):
+    """Forward GF(2) elimination of columns 0..ncols-1, in place.
+
+    Step c pivots on the active row of lowest position with bit c set and
+    XORs it, with its (rows, L) right-hand side, into the other active rows
+    with bit c set.  With *active* None the active rows are those at
+    positions >= c, the pivot is swapped into position c and the first
+    column without a pivot ends the pass; otherwise rows stay in place, each
+    pivot leaves the bool mask *active* and such a column is skipped.
+    Returns (row operations, first column without a pivot or -1).
+
+    Active rows are zero left of word w = c // 64, so the steps of word w run
+    on the active rows with a nonzero word w (and the positions 64w.. that
+    pivots are swapped into): a row outside has bit c clear, so it is never a
+    target and stays outside.  Each XOR ends at the pivot row's last nonzero
+    word, past which it would change nothing.
+    """
+    swap = active is None
+    L = rhs.shape[1]
+    ops, free = 0, -1
+    for w in range(-(-ncols // 64)):
+        c0, c1 = 64 * w, min(64 * w + 64, ncols)
+        if swap:
+            S = np.union1d(c0 + np.flatnonzero(bits[c0:, w]), np.arange(c0, min(c1, len(bits))))
+            at = np.searchsorted(S, np.arange(c0, c1)).tolist()  # subset slot of position c
+        else:
+            S = np.flatnonzero(active & (bits[:, w] != 0))
+        live = np.full(S.size, ~np.uint64(0))  # all ones while a row is active
+        B = bits[S, w:]
+        for c in range(c0, c1):
+            hit = (B[:, 0] & _BIT[c - c0] & live).nonzero()[0]
+            if not hit.size:
+                free = c if free < 0 else free
+                if swap:
+                    break
+                continue
+            p, i = hit[0], (at[c - c0] if swap else hit[0])
+            if p != i:
+                B[i], B[p] = B[p].copy(), B[i].copy()
+                if L:
+                    rhs[S[i]], rhs[S[p]] = rhs[S[p]].copy(), rhs[S[i]].copy()
+            live[i] = 0
+            tg = hit[1:]
+            if tg.size:
+                span = B[i].nonzero()[0][-1] + 1
+                B[tg, :span] ^= B[i, :span]
+                if L:
+                    rhs[S[tg]] ^= rhs[S[i]]
+                ops += tg.size
+        bits[S, w:] = B
+        if not swap:
+            active[S] = live != 0
+        elif free >= 0:
+            break
+    return ops, free
+
+
+def substitute(bits, rhs, ncols):
+    """Back substitution after :func:`eliminate`: from the last column down,
+    XOR row c's right-hand side into each row above c with bit c set, word by
+    word on the rows above 64w+64 with a nonzero word w.  *bits* is left as
+    it is; returns the row operations."""
+    ops = 0
+    for w in reversed(range(-(-ncols // 64))):
+        c0, c1 = 64 * w, min(64 * w + 64, ncols)
+        S = np.flatnonzero(bits[:c1, w])
+        hit = (bits[S, w, None] & _BIT[:c1 - c0]) != 0
+        hit &= S[:, None] < np.arange(c0, c1)  # strictly above the diagonal
+        ops += int(np.count_nonzero(hit))
+        if rhs.shape[1]:
+            for c in range(c1 - 1, c0 - 1, -1):
+                tg = S[hit[:, c - c0]]
+                if tg.size:
+                    rhs[tg] ^= rhs[c]
+    return ops

@@ -13,8 +13,9 @@ rule: random permutation blocks instead of circulants).
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,10 +83,11 @@ class QCCode:
     base: BaseMatrix
     spec: ExpansionSpec
     H: SparseBinMatrix
-    HT: SparseBinMatrix = field(init=False, repr=False)  # H's transpose, for peeling
 
-    def __post_init__(self):
-        self.HT = SparseBinMatrix.from_coords(self.n, self.m, self.H.indices, self.H.row_ids())
+    @functools.cached_property
+    def HT(self):
+        """H's transpose, for peeling; built on first use."""
+        return SparseBinMatrix.from_coords(self.n, self.m, self.H.indices, self.H.row_ids())
 
     @property
     def m(self):

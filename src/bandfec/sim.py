@@ -20,7 +20,7 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .gf2 import _ONE, pack_pairs
+from .gf2 import eliminate, pack_pairs
 from .qc import EnsembleSpec, QCCode, make_code
 from .band import PermutedCode, permuted_code
 from .codec import DecodeStatus, OpCounter, ReceptionState, hybrid_decode
@@ -57,11 +57,13 @@ def minimal_ml_reception(code: QCCode, pc: PermutedCode, order) -> int:
     """Smallest prefix length of *order* at which hybrid decoding succeeds.
 
     Decoding succeeds at prefix t iff the H columns of the symbols not yet
-    received are linearly independent.  Processing those columns from the
-    last-received backwards with earliest-priority pivoting, a column ends
-    without a pivot iff it depends on later-received ones; the first such
-    column marks the success boundary.  Single elimination pass, done in
-    the band-permuted row order so band codes stay cheap.
+    received are linearly independent.  Packed as rows, last-received first,
+    and eliminated in place with the pivot on the lowest row index not yet a
+    pivot, a row ends without a pivot iff it depends on later-received ones;
+    the first such row marks the success boundary.  Single pass over H'
+    rows: step c reads only the non-pivot rows with a nonzero word c // 64
+    and XORs up to the pivot row's last nonzero word, past which it is zero
+    (:func:`bandfec.gf2.eliminate`), so band codes stay cheap.
     """
     n, m, k = code.n, code.m, code.k
     N = n - k  # decoding cannot complete with fewer than k symbols
@@ -73,18 +75,7 @@ def minimal_ml_reception(code: QCCode, pc: PermutedCode, order) -> int:
     tail = pos_nz >= 0
     bits = pack_pairs(N, m, pos_nz[tail], pc.row_of[code.H.row_ids()[tail]])
     not_pivot = np.ones(N, dtype=bool)
-    for c in range(m):
-        w, sh = divmod(c, 64)
-        col = ((bits[:, w] >> np.uint64(sh)) & _ONE).astype(bool)
-        col &= not_pivot
-        idx = np.nonzero(col)[0]
-        if idx.size == 0:
-            continue
-        piv = idx[0]
-        not_pivot[piv] = False
-        tg = idx[1:]
-        if tg.size:
-            bits[tg] ^= bits[piv]
+    eliminate(bits, np.zeros((N, 0), np.uint8), m, active=not_pivot)
     dep = np.nonzero(not_pivot)[0]
     if dep.size == 0:
         return k

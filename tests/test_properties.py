@@ -1,8 +1,9 @@
 """Property tests of the hybrid decoder and the symbol- and base-matrix-file readers.
 
 The decoder's verdicts are checked against the dense reference solvers in
-``bandfec.gf2``, and its round-based peeling against a textbook peeling
-queue; small codes keep each example to milliseconds.
+``bandfec.gf2``, its round-based peeling against a textbook peeling queue,
+and its word-block elimination kernels against column-scan ones; small codes
+keep each example to milliseconds.
 """
 
 from collections import deque
@@ -13,7 +14,8 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bandfec.codec import (DecodeStatus, OpCounter, ReceptionState, encode, hybrid_decode,
                            read_symbols)
-from bandfec.gf2 import SparseBinMatrix, dense_solve_oracle, rank_oracle, syndrome_is_zero
+from bandfec.gf2 import (SparseBinMatrix, dense_solve_oracle, eliminate, pack_pairs, rank_oracle,
+                        substitute, syndrome_is_zero)
 from bandfec.qc import BaseMatrix, EnsembleSpec, ExpansionSpec, make_code, read_base_matrix
 from bandfec.sim import it_completion_time, reception_order
 
@@ -136,6 +138,105 @@ def test_it_completion_time_is_first_complete_prefix(case, seed):
         return state.complete
 
     assert it_completion_time(code, order) == next(t for t in range(code.n + 1) if complete(t))
+
+
+# Column-scan reference kernels: each pivot step scans a whole column and
+# XORs whole rows, as the decoder did before its word-block kernels.
+
+def reference_eliminate(bits, rhs, ncols):
+    """Triangularize by positions, as eliminate(bits, rhs, ncols)."""
+    ops = 0
+    for c in range(ncols):
+        w, sh = divmod(c, 64)
+        nz = np.nonzero((bits[c:, w] >> np.uint64(sh)) & np.uint64(1))[0]
+        if nz.size == 0:
+            return ops, c
+        piv = c + nz[0]
+        if piv != c:
+            bits[[c, piv]] = bits[[piv, c]]
+            rhs[[c, piv]] = rhs[[piv, c]]
+        tg = c + nz[1:]
+        if tg.size:
+            bits[tg] ^= bits[c]
+            rhs[tg] ^= rhs[c]
+            ops += int(tg.size)
+    return ops, -1
+
+
+def reference_substitute(bits, rhs, ncols):
+    ops = 0
+    for c in range(ncols - 1, -1, -1):
+        w, sh = divmod(c, 64)
+        rows = np.nonzero((bits[:c, w] >> np.uint64(sh)) & np.uint64(1))[0]
+        if rows.size:
+            rhs[rows] ^= rhs[c]
+            ops += int(rows.size)
+    return ops
+
+
+def reference_eliminate_in_place(bits, ncols):
+    """Pivot on the lowest row index that is not yet a pivot, as
+    eliminate(bits, rhs, ncols, active); returns that mask."""
+    not_pivot = np.ones(bits.shape[0], dtype=bool)
+    for c in range(ncols):
+        w, sh = divmod(c, 64)
+        col = ((bits[:, w] >> np.uint64(sh)) & np.uint64(1)).astype(bool) & not_pivot
+        idx = np.nonzero(col)[0]
+        if idx.size:
+            not_pivot[idx[0]] = False
+            bits[idx[1:]] ^= bits[idx[0]]
+    return not_pivot
+
+
+@st.composite
+def packed_systems(draw):
+    """Rows x n' packed bits of 1-10 words, random or banded, with or without a
+    diagonal, and 0-3 right-hand side bytes per row.  Some diagonal rows have
+    a zero word at the diagonal, so the pivot is swapped in from outside the
+    word's subset, and some columns at the first or last bit of a word are
+    zero or repeat the column before, so elimination finds no pivot there."""
+    ncols = draw(st.one_of(st.sampled_from([63, 64, 65, 128]), st.integers(1, 640)))
+    rows = max(1, ncols + draw(st.integers(-2, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    dense = rng.random((rows, ncols)) < draw(st.sampled_from([0.02, 0.1, 0.4]))
+    band = draw(st.sampled_from([0, 3, 20, 100]))
+    if band:
+        i, j = np.indices(dense.shape)
+        dense &= np.abs(i * ncols // rows - j) < band
+    if draw(st.booleans()):  # a diagonal, so that most such systems have full rank
+        np.fill_diagonal(dense, True)
+    words = -(-ncols // 64)
+    for w in draw(st.lists(st.integers(0, words - 1), max_size=3)):
+        if 64 * w < rows:
+            dense[64 * w, 64 * w:64 * w + 64] = False
+    for c in draw(st.lists(st.integers(0, 2 * words - 1), max_size=2)):
+        c = min(64 * (c // 2) + 63 * (c % 2), ncols - 1)  # first or last bit of a word
+        dense[:, c] = dense[:, c - 1] if c and draw(st.booleans()) else False
+    rhs = rng.integers(0, 256, (rows, draw(st.sampled_from([0, 1, 3]))), dtype=np.uint8)
+    return pack_pairs(rows, ncols, *np.nonzero(dense)), rhs, ncols, dense
+
+
+@settings(max_examples=200)
+@given(packed_systems())
+def test_elimination_kernels_match_reference(case):
+    bits, rhs, ncols, dense = case
+    got, want = (bits.copy(), rhs.copy()), (bits.copy(), rhs.copy())
+    ops, free = eliminate(*got, ncols)
+    assert (ops, free) == reference_eliminate(*want, ncols)
+    assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+    rank = rank_oracle(SparseBinMatrix.from_dense(dense))
+    assert (free < 0) == (rank == ncols)
+    if free < 0:
+        assert substitute(*got, ncols) == reference_substitute(*want, ncols)
+        assert np.array_equal(got[1], want[1])
+        if ncols <= 130:  # the dense solver is a Python loop per entry
+            sol = dense_solve_oracle(SparseBinMatrix.from_dense(dense), rhs)
+            assert (sol is None) == got[1][ncols:].any()
+            assert sol is None or np.array_equal(got[1][:ncols], sol)
+    in_place, active = bits.copy(), np.ones(bits.shape[0], dtype=bool)
+    eliminate(in_place, rhs[:, :0], ncols, active)
+    assert np.array_equal(active, reference_eliminate_in_place(bits, ncols))
+    assert np.array_equal(in_place, bits) and (~active).sum() == rank
 
 
 big = st.integers(-2**62, 2**62)

@@ -1,6 +1,9 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from bandfec.codec import ReceptionState
 from bandfec.gf2 import SparseBinMatrix
 from bandfec.qc import (BaseMatrix, EnsembleSpec, ExpansionSpec, QCCode, build_rra_base,
                         expand, load_code, make_code, max_shift, read_base_matrix,
@@ -196,3 +199,14 @@ class TestTranspose:
         H = SparseBinMatrix.from_coords(3, 5, [2, 0, 2, 0], [1, 4, 0, 1])
         code = QCCode(base=None, spec=None, H=H)
         assert np.array_equal(code.HT.to_dense(), H.to_dense().T)
+
+    def test_built_by_first_peel_only(self):
+        code = make_code(EnsembleSpec("band"), 240, seed=4)
+        assert "HT" not in vars(code)  # building a code does not build it
+        with mock.patch.object(SparseBinMatrix, "from_coords",
+                               wraps=SparseBinMatrix.from_coords) as built:
+            for _ in range(2):
+                state = ReceptionState(code, 0)
+                state.receive(np.arange(code.k))
+                state.peel()
+        assert built.call_count == 1 and vars(code)["HT"] is code.HT

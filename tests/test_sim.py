@@ -120,6 +120,11 @@ class TestRecordedResults:
         ("band", 2000, 11, (S, 248, 23043, 9445, 934, 933, 1.0045, 1.082)),
         ("unconstrained", 600, 12, (S, 101, 5014, 3478, 277, 274, 604 / 600, 1.11)),
         ("protograph", 600, 13, (S, 81, 4445, 3939, 276, 276, 1.01, 1.125)),
+        # 58 packed words per residual row, recorded before the word-block
+        # elimination kernel
+        ("band", 8000, 16, (S, 1243, 223430, 40691, 3685, 3683, 8042 / 8000, 8716 / 8000)),
+        ("unconstrained", 8000, 17,
+         (S, 1115, 623853, 358205, 3712, 3709, 8035 / 8000, 8786 / 8000)),
     ])
     def test_inefficiency_trial(self, kind, k, seed, want):
         r = inefficiency_trial(EnsembleSpec(kind), k, seed)
