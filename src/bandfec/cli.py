@@ -1,10 +1,11 @@
 """Command-line front end: code generation, encode/decode, experiment sweeps.
 
 Exit codes: 0 success, 2 usage error (including a malformed code or symbol
-file, a code that encode cannot use, and a size from the command line or a
-file too large to allocate), 3 iterative decoding stalled with ML disabled,
-4 residual system singular, 5 decoded symbols inconsistent (a received
-symbol was corrupt), whether peeling alone or ML elimination decoded them.
+file, a code that encode cannot use, a size from the command line or a
+file too large to allocate, and an --out path that is a directory or lies
+in none), 3 iterative decoding stalled with ML disabled, 4 residual system
+singular, 5 decoded symbols inconsistent (a received symbol was corrupt),
+whether peeling alone or ML elimination decoded them.
 A --losses spec lo:hi:step may list at most 10,000 loss points.
 Set BANDFEC_JOBS to parallelize simulation trials; output is identical
 regardless of the job count.
@@ -13,6 +14,7 @@ regardless of the job count.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 import numpy as np
@@ -36,6 +38,13 @@ _ENSEMBLES = {
     "constant-band": "constant_band",
     "protograph": "protograph",
 }
+
+
+def _check_out(parser, path):
+    """An output path that is a directory, or lies in none, is a usage error,
+    found before any work starts."""
+    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+        parser.error(f"--out {path} is not a file path in an existing directory")
 
 
 def _check_config(parser, args, ks):
@@ -229,6 +238,8 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.out:
+        _check_out(args.sub, args.out)
     return args.func(args.sub, args)
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import SparseBinMatrix, as_words, eliminate, pack_pairs, substitute
+from .gf2 import as_words, eliminate, pack_pairs, substitute
 from .qc import QCCode
 from .band import PermutedCode, permuted_code
 
@@ -145,12 +145,6 @@ class ResidualSystem:
     @property
     def nrows(self):
         return self.bits.shape[0]
-
-    def to_sparse(self) -> SparseBinMatrix:
-        """Unpack into a SparseBinMatrix (for oracles; call before eliminating)."""
-        u8 = self.bits.view(np.uint8)
-        return SparseBinMatrix.from_dense(
-            np.unpackbits(u8, axis=1, bitorder="little")[:, :self.ncols])
 
 
 def build_residual(code: QCCode, pc: PermutedCode, state: ReceptionState) -> ResidualSystem:

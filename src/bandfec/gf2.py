@@ -6,8 +6,9 @@ sorted column indices (CSR-style); other modules build and read them only
 through SparseBinMatrix's methods, never its row pointers.  The dense solvers
 are deliberately naive reference implementations used as test oracles; the
 production eliminations are the word-block kernels at the bottom,
-:func:`eliminate` and :func:`substitute`, which :mod:`bandfec.codec`'s
-decoder and :func:`bandfec.sim.minimal_ml_reception` call.
+:func:`eliminate`, which :mod:`bandfec.codec`'s decoder and
+:func:`bandfec.sim.minimal_ml_reception` call with one pivot rule, and
+:func:`substitute`, which the decoder calls.
 """
 
 from __future__ import annotations
@@ -176,43 +177,37 @@ def pack_pairs(m_rows, n_cols, row_idx, col_idx):
     return bits
 
 
-def eliminate(bits, rhs, ncols, active=None):
+def eliminate(bits, rhs, ncols):
     """Forward GF(2) elimination of columns 0..ncols-1, in place.
 
-    Step c pivots on the active row of lowest position with bit c set and
-    XORs it, with its (rows, L) right-hand side, into the other active rows
-    with bit c set.  With *active* None the active rows are those at
-    positions >= c, the pivot is swapped into position c and the first
-    column without a pivot ends the pass; otherwise rows stay in place, each
-    pivot leaves the bool mask *active* and such a column is skipped.
-    Returns (row operations, first column without a pivot or -1).
+    Step c pivots on the row of lowest position >= c with bit c set, swaps
+    it into position c and XORs it, with its (rows, L) right-hand side, into
+    the other rows below c with bit c set; the first column without a pivot
+    ends the pass.  Returns (row operations, that column or -1).  Callers:
+    :func:`bandfec.codec.forward_eliminate` on the decoder's residual
+    system, and :func:`bandfec.sim.minimal_ml_reception` on the parity rows
+    reduced to the symbols received after the first k.
 
-    Active rows are zero left of word w = c // 64, so the steps of word w run
-    on the active rows with a nonzero word w (and the positions 64w.. that
-    pivots are swapped into): a row outside has bit c clear, so it is never a
-    target and stays outside.  Each XOR ends at the pivot row's last nonzero
-    word, past which it would change nothing.
+    Rows at positions >= 64w are zero left of word w, so the steps of word w
+    run on the rows with a nonzero word w (and the positions 64w.. that
+    pivots are swapped into): a row outside has bit c clear, so it is never
+    a target and stays outside.  Each XOR ends at the pivot row's last
+    nonzero word, past which it would change nothing.
     """
-    swap = active is None
     L = rhs.shape[1]
     ops, free = 0, -1
     for w in range(-(-ncols // 64)):
         c0, c1 = 64 * w, min(64 * w + 64, ncols)
-        if swap:
-            S = np.union1d(c0 + np.flatnonzero(bits[c0:, w]), np.arange(c0, min(c1, len(bits))))
-            at = np.searchsorted(S, np.arange(c0, c1)).tolist()  # subset slot of position c
-        else:
-            S = np.flatnonzero(active & (bits[:, w] != 0))
-        live = np.full(S.size, ~np.uint64(0))  # all ones while a row is active
+        S = np.union1d(c0 + np.flatnonzero(bits[c0:, w]), np.arange(c0, min(c1, len(bits))))
+        at = np.searchsorted(S, np.arange(c0, c1)).tolist()  # subset slot of position c
+        live = np.full(S.size, ~np.uint64(0))  # all ones until a row is a pivot
         B = bits[S, w:]
         for c in range(c0, c1):
             hit = (B[:, 0] & _BIT[c - c0] & live).nonzero()[0]
             if not hit.size:
-                free = c if free < 0 else free
-                if swap:
-                    break
-                continue
-            p, i = hit[0], (at[c - c0] if swap else hit[0])
+                free = c
+                break
+            p, i = hit[0], at[c - c0]
             if p != i:
                 B[i], B[p] = B[p].copy(), B[i].copy()
                 if L:
@@ -226,9 +221,7 @@ def eliminate(bits, rhs, ncols, active=None):
                     rhs[S[tg]] ^= rhs[S[i]]
                 ops += tg.size
         bits[S, w:] = B
-        if not swap:
-            active[S] = live != 0
-        elif free >= 0:
+        if free >= 0:
             break
     return ops, free
 

@@ -7,7 +7,10 @@ distributed over processes (BANDFEC_JOBS) without changing the output.
 Loss sweeps erase a fixed count round(p*n) of randomly chosen symbols
 (random permutation before transmission); inefficiency trials report
 consumed/k at the shortest prefix of a random symbol order that decodes,
-found by one elimination pass (hybrid) and by bisection (peeling alone).
+by peeling alone (t_it, found by bisection) and by hybrid decoding (t_ml,
+from one peel at t_it and an elimination over the t_it-k columns of the
+symbols received after the first k, in the manner of inactivation
+decoding).
 """
 
 from __future__ import annotations
@@ -20,9 +23,9 @@ from multiprocessing import Pool
 
 import numpy as np
 
-from .gf2 import eliminate, pack_pairs
+from .gf2 import as_words, eliminate, pack_pairs
 from .qc import EnsembleSpec, QCCode, make_code
-from .band import PermutedCode, permuted_code
+from .band import PermutedCode
 from .codec import DecodeStatus, OpCounter, ReceptionState, hybrid_decode
 
 
@@ -57,29 +60,33 @@ def minimal_ml_reception(code: QCCode, pc: PermutedCode, order) -> int:
     """Smallest prefix length of *order* at which hybrid decoding succeeds.
 
     Decoding succeeds at prefix t iff the H columns of the symbols not yet
-    received are linearly independent.  Packed as rows, last-received first,
-    and eliminated in place with the pivot on the lowest row index not yet a
-    pivot, a row ends without a pivot iff it depends on later-received ones;
-    the first such row marks the success boundary.  Single pass over H'
-    rows: step c reads only the non-pivot rows with a nonzero word c // 64
-    and XORs up to the pivot row's last nonzero word, past which it is zero
-    (:func:`bandfec.gf2.eliminate`), so band codes stay cheap.
+    received, order[t:], are linearly independent.  Peeling completes at
+    t_it = it_completion_time(code, order) >= t_ml, where it writes each
+    symbol of order[t_it:] as a linear function of the received ones.  With
+    order[:k] received as zero and order[t_it-1-j] as the unit vector e_j
+    (j < t_it-k), it leaves each parity row reduced to an equation over the
+    e_j.  A vector on order[t:] is then in the kernel of H iff its part on
+    order[t:t_it], columns 0..t_it-1-t, solves the reduced rows, because
+    peeling fixes the rest.  So the first column that forward elimination of
+    the reduced rows finds without a pivot, j, gives t_ml = t_it - j; with
+    none, t_ml = k.  *pc* is not read.
     """
-    n, m, k = code.n, code.m, code.k
-    N = n - k  # decoding cannot complete with fewer than k symbols
-    # row i of the packed matrix is the H column of symbol order[n-1-i], its
-    # bits in H' row order
-    pos = np.full(n, -1, dtype=np.int64)
-    pos[order[k:][::-1]] = np.arange(N)
-    pos_nz = pos[code.H.indices]
-    tail = pos_nz >= 0
-    bits = pack_pairs(N, m, pos_nz[tail], pc.row_of[code.H.row_ids()[tail]])
-    not_pivot = np.ones(N, dtype=bool)
-    eliminate(bits, np.zeros((N, 0), np.uint8), m, active=not_pivot)
-    dep = np.nonzero(not_pivot)[0]
-    if dep.size == 0:
-        return k
-    return n - int(dep[0])
+    return _ml_threshold(code, order, it_completion_time(code, order))
+
+
+def _ml_threshold(code: QCCode, order, t_it: int) -> int:
+    """minimal_ml_reception's result, given t_it."""
+    k = code.k
+    j = np.arange(t_it - k)
+    unit = pack_pairs(j.size, j.size, j[::-1], j)  # symbol order[t_it-1-j] holds e_j
+    state = ReceptionState(code, 8 * unit.shape[1])
+    state.receive(order[:k], 0)
+    state.receive(order[k:t_it], unit.view(np.uint8))
+    state.peel()
+    acc = as_words(state.row_acc)
+    rows = acc[acc.any(axis=1)]
+    _, free = eliminate(rows, np.zeros((len(rows), 0), np.uint8), j.size)
+    return k if free < 0 else t_it - free
 
 
 def it_completion_time(code: QCCode, order) -> int:
@@ -105,10 +112,9 @@ def inefficiency_trial(ensemble: EnsembleSpec, k: int, seed: int,
     at the minimal successful reception.
     """
     code = make_code(ensemble, k, b=b, a=a, seed=seed)
-    pc = permuted_code(code)
     order = reception_order(code.n, np.random.default_rng([int(seed), 2]))
-    t_ml = minimal_ml_reception(code, pc, order)
     t_it = it_completion_time(code, order)
+    t_ml = _ml_threshold(code, order, t_it)
     out = hybrid_decode(code, {int(j): None for j in order[:t_ml]}, 0)
     return TrialResult(it_inefficiency=t_it / k, ml_inefficiency=t_ml / k,
                        counter=out.counter, status=out.status,
@@ -144,8 +150,8 @@ def job_count() -> int:
 
 
 def _pmap(fn, argss):
-    jobs = job_count()
-    if jobs > 1 and len(argss) > 1:
+    jobs = min(job_count(), len(argss))
+    if jobs > 1:
         with Pool(jobs) as pool:
             return pool.starmap(fn, argss)
     return [fn(*args) for args in argss]

@@ -266,6 +266,38 @@ class TestEncodeDecode:
         assert exc.value.code == 2
 
 
+class TestOutputPath:
+    @pytest.fixture
+    def files(self, tmp_path):
+        code, syms = tmp_path / "code.txt", tmp_path / "syms.bin"
+        (tmp_path / "in.bin").write_bytes(b"p" * 64)
+        run(["gen", "--k", "240", "--out", code])
+        run(["encode", "--code", code, "--in", tmp_path / "in.bin", "--out", syms,
+             "--symbol-size", "4"])
+        return tmp_path, code, syms
+
+    @pytest.mark.parametrize("argv,work", [
+        (lambda t, c, s: ["gen", "--k", "240"], "bandfec.qc.make_code"),
+        (lambda t, c, s: ["encode", "--code", c, "--in", t / "in.bin"], "bandfec.cli.encode"),
+        (lambda t, c, s: ["decode", "--code", c, "--in", s], "bandfec.cli.hybrid_decode"),
+        (lambda t, c, s: ["sim", "ineff", "--ks", "240", "--trials", "2"],
+         "bandfec.sim.ineff_sweep"),
+    ], ids=["gen", "encode", "decode", "sim"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    def test_unusable_path(self, files, capsys, monkeypatch, argv, work, where):
+        # a usage error before the command builds, encodes, decodes or simulates
+        tmp_path, code, syms = files
+
+        def refuse(*args, **kwargs):
+            raise AssertionError(f"{work} ran before the output path was checked")
+
+        monkeypatch.setattr(work, refuse)
+        out = tmp_path / "missing" / "out" if where == "missing-directory" else tmp_path
+        msg = usage_error([*argv(tmp_path, code, syms), "--out", out], capsys)
+        assert msg.endswith(f"--out {out} is not a file path in an existing directory")
+        assert not (tmp_path / "missing").exists()
+
+
 class TestSim:
     def test_bler_stdout(self, capsys):
         assert run(["sim", "bler", "--ensemble", "band", "--k", "240",

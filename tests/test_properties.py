@@ -2,14 +2,16 @@
 
 The decoder's verdicts are checked against the dense reference solvers in
 ``bandfec.gf2``, its round-based peeling against a textbook peeling queue,
-and its word-block elimination kernels against column-scan ones; small codes
-keep each example to milliseconds.
+its word-block elimination kernels against column-scan ones, and
+``minimal_ml_reception`` against an in-place elimination of every symbol
+unreceived at prefix k; small codes keep each example to milliseconds.
 """
 
 from collections import deque
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bandfec.codec import (DecodeStatus, OpCounter, ReceptionState, encode, hybrid_decode,
@@ -17,7 +19,8 @@ from bandfec.codec import (DecodeStatus, OpCounter, ReceptionState, encode, hybr
 from bandfec.gf2 import (SparseBinMatrix, dense_solve_oracle, eliminate, pack_pairs, rank_oracle,
                         substitute, syndrome_is_zero)
 from bandfec.qc import BaseMatrix, EnsembleSpec, ExpansionSpec, make_code, read_base_matrix
-from bandfec.sim import it_completion_time, reception_order
+from bandfec.band import permuted_code
+from bandfec.sim import it_completion_time, minimal_ml_reception, reception_order
 
 
 @st.composite
@@ -175,8 +178,8 @@ def reference_substitute(bits, rhs, ncols):
 
 
 def reference_eliminate_in_place(bits, ncols):
-    """Pivot on the lowest row index that is not yet a pivot, as
-    eliminate(bits, rhs, ncols, active); returns that mask."""
+    """Pivot on the lowest row index that is not yet a pivot, rows in place;
+    returns the mask of rows left without a pivot."""
     not_pivot = np.ones(bits.shape[0], dtype=bool)
     for c in range(ncols):
         w, sh = divmod(c, 64)
@@ -186,6 +189,47 @@ def reference_eliminate_in_place(bits, ncols):
             not_pivot[idx[0]] = False
             bits[idx[1:]] ^= bits[idx[0]]
     return not_pivot
+
+
+def reference_minimal_ml_reception(code, pc, order):
+    """The smallest decoding prefix from the H columns of every symbol not
+    received at prefix k, packed as rows, last-received first, and eliminated
+    in place: a row ends without a pivot iff it depends on later-received
+    ones, and the first such row marks the success boundary."""
+    n, m, k = code.n, code.m, code.k
+    N = n - k
+    pos = np.full(n, -1, dtype=np.int64)
+    pos[order[k:][::-1]] = np.arange(N)
+    pos_nz = pos[code.H.indices]
+    tail = pos_nz >= 0
+    bits = pack_pairs(N, m, pos_nz[tail], pc.row_of[code.H.row_ids()[tail]])
+    dep = np.flatnonzero(reference_eliminate_in_place(bits, m))
+    return k if dep.size == 0 else n - int(dep[0])
+
+
+@pytest.mark.parametrize("kind", ["band", "unconstrained", "constant_band", "protograph"])
+def test_minimal_ml_reception_matches_reference(kind):
+    # about 10% of k is received between k and t_it, so the reduced system
+    # spans 1 word at k=450 and 2-3 words at k=1500
+    widest = 0
+    for k, seed in [(450, s) for s in range(4)] + [(1500, s) for s in range(4, 8)]:
+        code = make_code(EnsembleSpec(kind), k, seed=seed)
+        order = reception_order(code.n, np.random.default_rng(seed))
+        widest = max(widest, it_completion_time(code, order) - k)
+        assert minimal_ml_reception(code, None, order) == \
+            reference_minimal_ml_reception(code, permuted_code(code), order)
+    assert widest > 64
+
+
+@pytest.mark.parametrize("kind", ["band", "unconstrained", "constant_band"])
+def test_minimal_ml_reception_source_first(kind):
+    # all source symbols first: peeling alone encodes, so t_it = t_ml = k
+    code = make_code(EnsembleSpec(kind), 450, seed=5)
+    parity = code.k + reception_order(code.m, np.random.default_rng(5))
+    order = np.concatenate([np.arange(code.k), parity])
+    assert it_completion_time(code, order) == code.k
+    assert minimal_ml_reception(code, None, order) == code.k == \
+        reference_minimal_ml_reception(code, permuted_code(code), order)
 
 
 @st.composite
@@ -233,10 +277,6 @@ def test_elimination_kernels_match_reference(case):
             sol = dense_solve_oracle(SparseBinMatrix.from_dense(dense), rhs)
             assert (sol is None) == got[1][ncols:].any()
             assert sol is None or np.array_equal(got[1][:ncols], sol)
-    in_place, active = bits.copy(), np.ones(bits.shape[0], dtype=bool)
-    eliminate(in_place, rhs[:, :0], ncols, active)
-    assert np.array_equal(active, reference_eliminate_in_place(bits, ncols))
-    assert np.array_equal(in_place, bits) and (~active).sum() == rank
 
 
 big = st.integers(-2**62, 2**62)

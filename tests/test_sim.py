@@ -4,6 +4,7 @@ import pytest
 from bandfec.band import permuted_code
 from bandfec.codec import DecodeStatus, OpCounter
 from bandfec.gf2 import SparseBinMatrix, rank_oracle
+from bandfec import sim
 from bandfec.qc import EnsembleSpec, make_code
 from bandfec.sim import (bler_sweep, fit_loglog_slope, format_rows,
                          ineff_sweep, inefficiency_trial, it_completion_time,
@@ -170,6 +171,28 @@ class TestSweeps:
         seeds = {trial_seed(1, e, p, t) for e in range(4) for p in range(4)
                  for t in range(10)}
         assert len(seeds) == 160
+
+    def test_pool_capped_at_task_count(self, monkeypatch):
+        # a fake pool: no worker process starts
+        sizes = []
+
+        class FakePool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def starmap(self, fn, argss):
+                return [fn(*args) for args in argss]
+
+        monkeypatch.setattr(sim, "Pool", FakePool)
+        monkeypatch.setenv("BANDFEC_JOBS", "64")
+        assert sim._pmap(pow, [(2, 3), (3, 2), (5, 1)]) == [8, 9, 5]
+        assert sizes == [3]
 
     def test_sweep_reproducible(self):
         a = ineff_sweep(EnsembleSpec("unconstrained"), [240], trials=5, master_seed=9)
