@@ -2,10 +2,12 @@
 
 Exit codes: 0 success, 2 usage error (including a malformed code or symbol
 file, a code that encode cannot use, a size from the command line or a
-file too large to allocate, and an --out path that is a directory or lies
-in none), 3 iterative decoding stalled with ML disabled, 4 residual system
-singular, 5 decoded symbols inconsistent (a received symbol was corrupt),
-whether peeling alone or ML elimination decoded them.
+file too large to allocate, and an --out path that is empty, is a
+directory or lies in none), 3 iterative decoding stalled with ML disabled,
+4 residual system singular, 5 decoded symbols inconsistent (a received
+symbol was corrupt), whether peeling alone or ML elimination decoded them,
+and 1, without a traceback, when stdout is closed before the output is
+written.
 A --losses spec lo:hi:step may list at most 10,000 loss points.
 Set BANDFEC_JOBS to parallelize simulation trials; output is identical
 regardless of the job count.
@@ -41,9 +43,10 @@ _ENSEMBLES = {
 
 
 def _check_out(parser, path):
-    """An output path that is a directory, or lies in none, is a usage error,
-    found before any work starts."""
-    if os.path.isdir(path) or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
+    """An output path that is empty, is a directory or lies in none is a usage
+    error, found before any work starts."""
+    if not path or os.path.isdir(path) \
+            or not os.path.isdir(os.path.dirname(os.path.abspath(path))):
         parser.error(f"--out {path} is not a file path in an existing directory")
 
 
@@ -238,9 +241,17 @@ def build_parser():
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.out:
+    if args.out is not None:
         _check_out(args.sub, args.out)
-    return args.func(args.sub, args)
+    try:
+        status = args.func(args.sub, args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout has gone: point stdout at devnull so that the
+        # flush at exit cannot fail again, and end without a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    return status
 
 
 if __name__ == "__main__":

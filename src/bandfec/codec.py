@@ -15,6 +15,7 @@ incident row; received symbols substitute for free.
 
 from __future__ import annotations
 
+import copy
 import enum
 from dataclasses import dataclass
 
@@ -92,7 +93,9 @@ class ReceptionState:
     ``receive`` records symbols in ``known``/``values``.  ``peel`` derives from
     them ``row_unknown`` and ``row_acc``, each row's unknown count and XOR of
     known symbols, then recovers in rounds the unknown of every row left with
-    one, reading only the rows of the last round's symbols.  L may be 0.
+    one, reading only the rows of the last round's symbols.  ``add`` brings a
+    peeled ledger up to date with more symbols through H's transpose, and
+    peels on with the same rounds.  L may be 0.
     """
 
     def __init__(self, code: QCCode, symbol_size: int):
@@ -106,19 +109,57 @@ class ReceptionState:
         return bool(self.known.all())
 
     def receive(self, j, value=None):
-        """Mark symbol j (an index or an index array) received with its value(s)."""
+        """Mark symbol j (an index or an index array) received with its value(s);
+        with no value, a symbol not received before keeps a zero payload."""
         self.known[j] = True
-        if self.L:
+        if self.L and value is not None:
             self.values[j] = value
+
+    def copy(self):
+        """An independent copy of a peeled ledger; ``values`` and ``row_acc`` are
+        empty when L is 0, so it then copies ``known`` and ``row_unknown`` only."""
+        other = copy.copy(self)
+        other.known, other.values = self.known.copy(), self.values.copy()
+        other.row_unknown, other.row_acc = self.row_unknown.copy(), self.row_acc.copy()
+        return other
 
     def peel(self, counter: OpCounter | None = None):
         """Run iterative decoding to completion or a stopping set."""
-        H, HT, known, L = self.code.H, self.code.HT, self.known, self.L
-        self.row_unknown = np.bincount(H.row_ids()[~known[H.indices]], minlength=H.m)
+        H = self.code.H
         # unknown values are still zero, so they drop out of the XOR
-        self.row_acc = H.row_xor(self.values) if L else np.zeros((H.m, 0), np.uint8)
+        self._peel(H.row_xor(self.values) if self.L else np.zeros((H.m, 0), np.uint8), counter)
+
+    def peel_seeded(self, j, value):
+        """Receive symbols j with their value(s) and peel, where every other
+        received payload is zero: ``row_acc`` then starts as the XOR of j's
+        payloads into the rows of their columns, which skips ``H.row_xor``
+        over every symbol."""
+        self.receive(j, value)
+        acc = np.zeros((self.code.m, self.L), dtype=np.uint8)
+        at, touched = self.code.HT.gather(j)
+        np.bitwise_xor.at(as_words(acc), touched, as_words(self.values)[j[at]])
+        self._peel(acc)
+
+    def add(self, j):
+        """Receive symbols j with zero payloads into a peeled ledger and peel on
+        from the rows they touch; symbols already known change nothing."""
+        j = j[~self.known[j]]
+        self.known[j] = True
+        _, touched = self.code.HT.gather(j)
+        self.row_unknown -= np.bincount(touched, minlength=self.code.m)
+        self._rounds(np.unique(touched[self.row_unknown[touched] == 1]))
+
+    def _peel(self, row_acc, counter=None):
+        H = self.code.H
+        self.row_unknown = np.bincount(H.row_ids()[~self.known[H.indices]], minlength=H.m)
+        self.row_acc = row_acc
+        self._rounds(np.flatnonzero(self.row_unknown == 1), counter)
+
+    def _rounds(self, rows, counter=None):
+        """Recover, round by round, the unknown of each of *rows* (the rows left
+        with one) and then of the rows that the recovered symbols leave with one."""
+        H, HT, known, L = self.code.H, self.code.HT, self.known, self.L
         acc, vals = as_words(self.row_acc), as_words(self.values)
-        rows = np.flatnonzero(self.row_unknown == 1)
         while rows.size:
             _, cols = H.gather(rows)
             cols, first = np.unique(cols[~known[cols]], return_index=True)

@@ -7,15 +7,16 @@ distributed over processes (BANDFEC_JOBS) without changing the output.
 Loss sweeps erase a fixed count round(p*n) of randomly chosen symbols
 (random permutation before transmission); inefficiency trials report
 consumed/k at the shortest prefix of a random symbol order that decodes,
-by peeling alone (t_it, found by bisection) and by hybrid decoding (t_ml,
-from one peel at t_it and an elimination over the t_it-k columns of the
-symbols received after the first k, in the manner of inactivation
-decoding).
+by peeling alone (t_it, found by a search whose probes each add their new
+symbols to the peeled ledger of the longest prefix known to fail, which
+monotone peeling makes exact) and by hybrid decoding (t_ml, from one peel
+at t_it and an elimination over the t_it-k columns of the symbols received
+after the first k, in the manner of inactivation decoding; the peel's
+ledger starts from those symbols' payloads, the only nonzero ones).
 """
 
 from __future__ import annotations
 
-import bisect
 import math
 import os
 from dataclasses import dataclass
@@ -51,6 +52,9 @@ class CurvePoint:
     trials: int
 
 
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)  # set bits per byte
+
+
 def reception_order(n: int, rng) -> np.ndarray:
     """Uniform random transmission order of the n symbols."""
     return rng.permutation(n)
@@ -75,31 +79,57 @@ def minimal_ml_reception(code: QCCode, pc: PermutedCode, order) -> int:
 
 
 def _ml_threshold(code: QCCode, order, t_it: int) -> int:
-    """minimal_ml_reception's result, given t_it."""
+    """minimal_ml_reception's result, given t_it.
+
+    Every received payload but the e_j is zero, so ``row_acc`` is seeded by
+    XORing each e_j into the rows of its symbol's column alone, which is what
+    ``H.row_xor`` over all payloads would give.  The nonzero reduced rows go
+    to elimination lightest first, which lowers fill and so row operations.
+    Which column is the first without a pivot
+    depends only on the rows' span, never on their order: column c has a
+    pivot iff it is independent of columns 0..c-1 on the reduced rows.
+    """
     k = code.k
     j = np.arange(t_it - k)
     unit = pack_pairs(j.size, j.size, j[::-1], j)  # symbol order[t_it-1-j] holds e_j
     state = ReceptionState(code, 8 * unit.shape[1])
-    state.receive(order[:k], 0)
-    state.receive(order[k:t_it], unit.view(np.uint8))
-    state.peel()
+    state.receive(order[:k])
+    state.peel_seeded(order[k:t_it], unit.view(np.uint8))
     acc = as_words(state.row_acc)
     rows = acc[acc.any(axis=1)]
+    rows = rows[np.argsort(_POPCOUNT[rows.view(np.uint8)].sum(axis=1), kind="stable")]
     _, free = eliminate(rows, np.zeros((len(rows), 0), np.uint8), j.size)
     return k if free < 0 else t_it - free
 
 
 def it_completion_time(code: QCCode, order) -> int:
-    """Consumed symbols until iterative decoding alone completes, found by
-    bisection: peeling a superset of the received symbols recovers a superset,
-    and k-1 symbols leave m+1 unknowns, more than the m rows can recover."""
-    def complete(t):
-        state = ReceptionState(code, 0)
-        state.receive(order[:t])
-        state.peel()
-        return state.complete
+    """Consumed symbols until iterative decoding alone completes, by a search
+    between a prefix lo that fails, first k-1 (its m+1 unknowns are more than
+    the m rows can recover), and one hi that completes, first n.
 
-    return code.k + bisect.bisect_left(range(code.k, code.n + 1), True, key=complete)
+    Peeling is monotone and its fixpoint is unique: the symbols it recovers
+    from a set of received ones are the same in whatever order they are
+    recovered, and a superset of received symbols recovers a superset.  So
+    the probe at mid starts from the peeled ledger of prefix lo, adds
+    order[lo:mid] and peels on, and reaches the ledger that a peel from
+    nothing would.  A failing probe becomes the new base, while a completing
+    one's peel is discarded, so mid sits an eighth of the way from lo to hi:
+    fewer probes complete, and near the threshold each of those peels for
+    tens to hundreds of rounds.
+    """
+    lo, hi = code.k - 1, code.n
+    base = ReceptionState(code, 0)
+    base.receive(order[:lo])
+    base.peel()
+    while hi - lo > 1:
+        mid = lo + max(1, (hi - lo) // 8)
+        probe = base.copy()
+        probe.add(order[lo:mid])
+        if probe.complete:
+            hi = mid
+        else:
+            lo, base = mid, probe
+    return hi
 
 
 def inefficiency_trial(ensemble: EnsembleSpec, k: int, seed: int,

@@ -283,7 +283,7 @@ class TestOutputPath:
         (lambda t, c, s: ["sim", "ineff", "--ks", "240", "--trials", "2"],
          "bandfec.sim.ineff_sweep"),
     ], ids=["gen", "encode", "decode", "sim"])
-    @pytest.mark.parametrize("where", ["missing-directory", "directory"])
+    @pytest.mark.parametrize("where", ["missing-directory", "directory", "empty"])
     def test_unusable_path(self, files, capsys, monkeypatch, argv, work, where):
         # a usage error before the command builds, encodes, decodes or simulates
         tmp_path, code, syms = files
@@ -292,7 +292,8 @@ class TestOutputPath:
             raise AssertionError(f"{work} ran before the output path was checked")
 
         monkeypatch.setattr(work, refuse)
-        out = tmp_path / "missing" / "out" if where == "missing-directory" else tmp_path
+        out = {"missing-directory": tmp_path / "missing" / "out", "directory": tmp_path,
+               "empty": ""}[where]
         msg = usage_error([*argv(tmp_path, code, syms), "--out", out], capsys)
         assert msg.endswith(f"--out {out} is not a file path in an existing directory")
         assert not (tmp_path / "missing").exists()
@@ -316,6 +317,17 @@ class TestSim:
         assert len(lines) == 7  # header + 3 curves x 2 points
         assert {l.split(",")[0] for l in lines[1:]} == \
             {"ineff_it", "ineff_ml", "ineff_failures"}
+
+    def test_closed_stdout(self):
+        # the reader closes stdout before the CSV is written: exit 1, no traceback
+        src = Path(bandfec.__file__).resolve().parents[1]
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "bandfec.cli", "sim", "ineff", "--k", "600", "--trials", "1"],
+            env=dict(os.environ, PYTHONPATH=str(src)), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=120)
+        assert (proc.returncode, err) == (1, b"")
 
     def test_ops_k_prints_slope(self, capsys):
         assert run(["sim", "ops-k", "--ensemble", "band", "--ks", "240,480",

@@ -143,6 +143,37 @@ def test_it_completion_time_is_first_complete_prefix(case, seed):
     assert it_completion_time(code, order) == next(t for t in range(code.n + 1) if complete(t))
 
 
+@st.composite
+def prefix_cuts(draw):
+    """A small code of any ensemble, a reception order and 2-4 prefix lengths
+    in increasing order."""
+    kind = draw(st.sampled_from(["band", "unconstrained", "protograph", "constant_band"]))
+    # constant_band fixes M = 42, and circulant expansion needs z > M
+    z = draw(st.integers(*{"band": (10, 24), "constant_band": (43, 60)}.get(kind, (1, 24))))
+    code = make_code(EnsembleSpec(kind), 10 * z, seed=draw(st.integers(0, 2**16)))
+    order = reception_order(code.n, np.random.default_rng(draw(st.integers(0, 2**32))))
+    cuts = sorted(draw(st.lists(st.integers(0, code.n), min_size=2, max_size=4)))
+    return code, order, cuts
+
+
+@settings(max_examples=100)
+@given(prefix_cuts())
+def test_add_matches_fresh_peel(case):
+    # a ledger peeled at prefix a and given order[a:b] is the ledger of a
+    # fresh peel at prefix b; the copy it was added to keeps prefix a's
+    code, order, cuts = case
+    state, _ = peeled(code, dict.fromkeys(order[:cuts[0]].tolist()), 0, ReceptionState.peel)
+    for a, b in zip(cuts, cuts[1:]):
+        known = state.known.copy()
+        probe = state.copy()
+        probe.add(order[a:b])
+        assert np.array_equal(state.known, known)
+        want, _ = peeled(code, dict.fromkeys(order[:b].tolist()), 0, reference_peel)
+        for name in ("known", "row_unknown"):
+            assert np.array_equal(getattr(probe, name), getattr(want, name)), (name, a, b)
+        state = probe
+
+
 # Column-scan reference kernels: each pivot step scans a whole column and
 # XORs whole rows, as the decoder did before its word-block kernels.
 

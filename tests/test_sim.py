@@ -126,6 +126,10 @@ class TestRecordedResults:
         ("band", 8000, 16, (S, 1243, 223430, 40691, 3685, 3683, 8042 / 8000, 8716 / 8000)),
         ("unconstrained", 8000, 17,
          (S, 1115, 623853, 358205, 3712, 3709, 8035 / 8000, 8786 / 8000)),
+        # recorded before the warm-started t_it probes: near its threshold
+        # this ensemble peels for about 200 rounds, so its probes changed most
+        ("constant_band", 10000, 18,
+         (S, 1664, 104095, 36958, 4566, 4531, 10099 / 10000, 10790 / 10000)),
     ])
     def test_inefficiency_trial(self, kind, k, seed, want):
         r = inefficiency_trial(EnsembleSpec(kind), k, seed)
