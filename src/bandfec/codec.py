@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import as_words, eliminate, pack_pairs, substitute
+from .gf2 import as_words, eliminate, mapped_zeros, pack_pairs, substitute
 from .qc import QCCode
 from .band import PermutedCode, permuted_code
 
@@ -130,12 +130,16 @@ class ReceptionState:
         self._peel(H.row_xor(self.values) if self.L else np.zeros((H.m, 0), np.uint8), counter)
 
     def peel_seeded(self, j, value):
-        """Receive symbols j with their value(s) and peel, where every other
-        received payload is zero: ``row_acc`` then starts as the XOR of j's
+        """Receive symbols j with payloads *value* into a ledger made with
+        L = 0, which takes value's width as its L, and peel.  Every other
+        received payload is zero, so ``row_acc`` starts as the XOR of j's
         payloads into the rows of their columns, which skips ``H.row_xor``
-        over every symbol."""
+        over every symbol.  ``values`` and ``row_acc`` are mapped
+        (:func:`bandfec.gf2.mapped_zeros`), like the residual that follows."""
+        self.L = value.shape[1]
+        self.values = mapped_zeros((self.code.n, self.L), np.uint8)
         self.receive(j, value)
-        acc = np.zeros((self.code.m, self.L), dtype=np.uint8)
+        acc = mapped_zeros((self.code.m, self.L), np.uint8)
         at, touched = self.code.HT.gather(j)
         np.bitwise_xor.at(as_words(acc), touched, as_words(self.values)[j[at]])
         self._peel(acc)

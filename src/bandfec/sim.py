@@ -83,16 +83,18 @@ def _ml_threshold(code: QCCode, order, t_it: int) -> int:
 
     Every received payload but the e_j is zero, so ``row_acc`` is seeded by
     XORing each e_j into the rows of its symbol's column alone, which is what
-    ``H.row_xor`` over all payloads would give.  The nonzero reduced rows go
-    to elimination lightest first, which lowers fill and so row operations.
-    Which column is the first without a pivot
+    ``H.row_xor`` over all payloads would give.  The ledger is made with
+    L = 0 and takes the e_j's width in ``peel_seeded``, so that its payload
+    arrays come from :func:`bandfec.gf2.mapped_zeros`, never from malloc.
+    The nonzero reduced rows go to elimination lightest first, which lowers
+    fill and so row operations.  Which column is the first without a pivot
     depends only on the rows' span, never on their order: column c has a
     pivot iff it is independent of columns 0..c-1 on the reduced rows.
     """
     k = code.k
     j = np.arange(t_it - k)
     unit = pack_pairs(j.size, j.size, j[::-1], j)  # symbol order[t_it-1-j] holds e_j
-    state = ReceptionState(code, 8 * unit.shape[1])
+    state = ReceptionState(code, 0)
     state.receive(order[:k])
     state.peel_seeded(order[k:t_it], unit.view(np.uint8))
     acc = as_words(state.row_acc)

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bandfec.gf2 import (SparseBinMatrix, dense_solve_oracle, rank_oracle,
+from bandfec.gf2 import (SparseBinMatrix, dense_solve_oracle, mapped_zeros, rank_oracle,
                          syndrome_is_zero)
 
 
@@ -99,6 +99,16 @@ class TestSyndrome:
         H = from_rows(2, [[0, 1]])
         with pytest.raises(ValueError):
             syndrome_is_zero(H, np.zeros((3, 1), np.uint8))
+
+
+@pytest.mark.parametrize("shape, dtype", [((3, 5), np.uint64), ((4, 0), np.uint8),
+                                          ((0, 2), np.uint64)])
+def test_mapped_zeros(shape, dtype):
+    a, b = mapped_zeros(shape, dtype), mapped_zeros(shape, dtype)
+    assert a.shape == shape and a.dtype == dtype and a.flags.c_contiguous
+    assert not a.any()
+    a[...] = 7
+    assert (a == 7).all() and not b.any()
 
 
 def brute_force_solve(A, rhs):
