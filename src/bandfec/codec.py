@@ -1,5 +1,10 @@
 """Systematic encoder and hybrid iterative/ML erasure decoder.
 
+The encoder works on the (b, z, words) block view of the codeword.  The
+parity part of a repeat-accumulate code is an accumulator, so parity block i
+is the XOR of the circulant-shifted source and earlier parity blocks of base
+row i, and the last one is then prefix-XORed down its z x z bit staircase.
+
 The iterative phase peels degree-one parity rows on the original matrix
 indexing.  When it stalls, the residual system is assembled in the
 band-permuted (H') row/column order and solved by Gaussian elimination on
@@ -22,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gf2 import as_words, eliminate, mapped_zeros, pack_pairs, substitute
-from .qc import QCCode
+from .qc import CIRCULANT, QCCode
 from .band import PermutedCode, permuted_code
 
 
@@ -63,11 +68,16 @@ class Codeword:
 
 
 def encode(code: QCCode, source) -> Codeword:
-    """Compute parity by forward substitution over the staircase parity part.
+    """Compute parity block row by block row over the base matrix.
 
-    Requires H_p unit lower triangular (circulant expansion with shift-0
-    parity diagonal and the staircase final block give it): row r then
-    determines parity symbol k + r from already-known symbols.
+    Requires H_p unit lower triangular.  On a circulant expansion that means
+    no block above the parity diagonal, a shift-0 or staircase diagonal block
+    and any shifts below it, so parity block i is the XOR of the blocks left
+    of its diagonal, each shifted by its circulant, followed for a staircase
+    diagonal by a prefix XOR down the block.  A circulant of shift s maps
+    block row r to column (r + s) % z: two slice XORs on the (b, z, words)
+    view of the codeword.  Codes not expanded from a base matrix by
+    circulants are rejected.
     """
     source = np.atleast_2d(np.asarray(source, dtype=np.uint8))
     k = code.k
@@ -77,13 +87,21 @@ def encode(code: QCCode, source) -> Codeword:
     rid, off = H.row_ids(), H.indices - k  # each nonzero sits at (rid, k + off)
     if (off > rid).any() or np.count_nonzero(off == rid) != code.m:
         raise ValueError("linear-time encoding requires H_p unit lower triangular")
-    L = source.shape[1]
-    values = np.zeros((code.n, L), dtype=np.uint8)
+    if code.base is None or code.spec.mode != CIRCULANT:
+        raise ValueError("encoding requires a circulant expansion of a base matrix")
+    values = np.zeros((code.n, source.shape[1]), dtype=np.uint8)
     values[:k] = source
-    for r in range(code.m):
-        cols = H.row(r)
-        # parity column k+r is still zero, so it drops out of the XOR
-        values[k + r] = np.bitwise_xor.reduce(values[cols], axis=0)
+    base, z, words = code.base, code.spec.z, as_words(values)
+    blocks = words.reshape(base.b, z, words.shape[1])
+    p0 = base.n_source_cols  # the first parity block
+    for i in range(base.a):
+        acc = blocks[p0 + i]  # still zero, so the diagonal drops out
+        for j in np.flatnonzero(base.entries[i, :p0 + i] >= 0):
+            s, blk = base.entries[i, j], blocks[j]
+            acc[:z - s] ^= blk[s:]
+            acc[z - s:] ^= blk[:s]
+    if code.spec.last_block_staircase:  # row r of the last block also holds column r - 1
+        np.bitwise_xor.accumulate(acc, axis=0, out=acc)
     return Codeword(symbols=values)
 
 
@@ -151,7 +169,7 @@ class ReceptionState:
         self.known[j] = True
         _, touched = self.code.HT.gather(j)
         self.row_unknown -= np.bincount(touched, minlength=self.code.m)
-        self._rounds(np.unique(touched[self.row_unknown[touched] == 1]))
+        self._rounds(_distinct(touched[self.row_unknown[touched] == 1]))
 
     def _peel(self, row_acc, counter=None):
         H = self.code.H
@@ -166,7 +184,7 @@ class ReceptionState:
         acc, vals = as_words(self.row_acc), as_words(self.values)
         while rows.size:
             _, cols = H.gather(rows)
-            cols, first = np.unique(cols[~known[cols]], return_index=True)
+            cols, first = _distinct_first(cols[~known[cols]])
             known[cols] = True
             at, touched = HT.gather(cols)
             np.subtract.at(self.row_unknown, touched, 1)
@@ -175,7 +193,33 @@ class ReceptionState:
                 np.bitwise_xor.at(acc, touched, vals[cols[at]])
             if counter is not None:
                 counter.it_ops += touched.size
-            rows = np.unique(touched[self.row_unknown[touched] == 1])
+            rows = _distinct(touched[self.row_unknown[touched] == 1])
+
+
+def _distinct(a):
+    """np.unique(a) for a 1-D integer array: a sort and the first of each run
+    of equal values, which on the tens of elements of a peeling round cost a
+    fraction of numpy's hash-based unique."""
+    a = np.sort(a)
+    return a[_run_starts(a)]
+
+
+def _distinct_first(a):
+    """np.unique(a, return_index=True) for a 1-D integer array: the distinct
+    values in order and the position of each one's first occurrence, which a
+    stable argsort puts first in its run."""
+    at = np.argsort(a, kind="stable")
+    a = a[at]
+    new = _run_starts(a)
+    return a[new], at[new]
+
+
+def _run_starts(s):
+    """Mask of the first of each run of equal values in sorted s."""
+    new = np.empty(s.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(s[1:], s[:-1], out=new[1:])
+    return new
 
 
 @dataclass
@@ -239,8 +283,11 @@ def hybrid_decode(code: QCCode, received, symbol_size: int,
     syndrome) or elimination leaves a surplus right-hand side nonzero.
     """
     state = ReceptionState(code, symbol_size)
-    for j, v in received.items():
-        state.receive(int(j), v)
+    state.receive(np.fromiter(received, dtype=np.int64, count=len(received)))
+    if state.L:  # one by one: stacking the payloads first is no faster
+        for j, v in received.items():
+            if v is not None:
+                state.values[j] = v
     counter = OpCounter()
     state.peel(counter)
     dims = (0, 0)

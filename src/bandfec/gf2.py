@@ -251,18 +251,20 @@ def eliminate(bits, rhs, ncols):
 
 
 def substitute(bits, rhs, ncols):
-    """Back substitution after :func:`eliminate`: from the last column down,
-    XOR row c's right-hand side into each row above c with bit c set, word by
-    word on the rows above 64w+64 with a nonzero word w.  *bits* is left as
-    it is; returns the row operations."""
-    ops = 0
-    for w in reversed(range(-(-ncols // 64))):
-        c0, c1 = 64 * w, min(64 * w + 64, ncols)
-        S = np.flatnonzero(bits[:c1, w])
-        hit = (bits[S, w, None] & _BIT[:c1 - c0]) != 0
-        hit &= S[:, None] < np.arange(c0, c1)  # strictly above the diagonal
-        ops += int(np.count_nonzero(hit))
-        if rhs.shape[1]:
+    """Back substitution after a full :func:`eliminate`: from the last column
+    down, XOR row c's right-hand side into each row above c with bit c set,
+    word by word on the rows above 64w+64 with a nonzero word w.  *bits* is
+    left as it is; returns the row operations, one per set bit above the
+    diagonal.  Elimination leaves no bit below the diagonal or in a surplus
+    row, so that count is the set bits less the ncols diagonal ones, and with
+    no right-hand side nothing else is done."""
+    ops = int(np.bitwise_count(bits).sum()) - ncols
+    if rhs.shape[1]:
+        for w in reversed(range(-(-ncols // 64))):
+            c0, c1 = 64 * w, min(64 * w + 64, ncols)
+            S = np.flatnonzero(bits[:c1, w])
+            hit = (bits[S, w, None] & _BIT[:c1 - c0]) != 0
+            hit &= S[:, None] < np.arange(c0, c1)  # strictly above the diagonal
             for c in range(c1 - 1, c0 - 1, -1):
                 tg = S[hit[:, c - c0]]
                 if tg.size:

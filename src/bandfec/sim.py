@@ -147,7 +147,7 @@ def inefficiency_trial(ensemble: EnsembleSpec, k: int, seed: int,
     order = reception_order(code.n, np.random.default_rng([int(seed), 2]))
     t_it = it_completion_time(code, order)
     t_ml = _ml_threshold(code, order, t_it)
-    out = hybrid_decode(code, {int(j): None for j in order[:t_ml]}, 0)
+    out = hybrid_decode(code, dict.fromkeys(order[:t_ml].tolist()), 0)
     return TrialResult(it_inefficiency=t_it / k, ml_inefficiency=t_ml / k,
                        counter=out.counter, status=out.status,
                        residual_rows=out.residual_rows,
@@ -159,7 +159,7 @@ def _loss_trial(ensemble, k, b, a, loss, seed):
     code = make_code(ensemble, k, b=b, a=a, seed=seed)
     n_erased = int(round(loss * code.n))
     order = reception_order(code.n, np.random.default_rng([int(seed), 2]))
-    out = hybrid_decode(code, {int(j): None for j in order[n_erased:]}, 0)
+    out = hybrid_decode(code, dict.fromkeys(order[n_erased:].tolist()), 0)
     return out.status is DecodeStatus.SUCCESS, out.counter
 
 

@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -68,9 +69,26 @@ class TestEncode:
         with pytest.raises(ValueError):
             encode(code, np.zeros((code.k + 1, 1), dtype=np.uint8))
 
+    def test_no_row_reads(self):
+        # parity comes from the base matrix's blocks, never from H's rows
+        code = make_code(EnsembleSpec("band"), 240, seed=4)
+        with mock.patch.object(SparseBinMatrix, "row", autospec=True,
+                               side_effect=SparseBinMatrix.row) as row:
+            cw = encode(code, np.ones((code.k, 8), dtype=np.uint8))
+        assert row.call_count == 0 and syndrome_is_zero(code.H, cw.symbols)
+
     def test_protograph_rejected(self):
         code = make_code(EnsembleSpec("protograph"), 240)
         with pytest.raises(ValueError):
+            encode(code, np.zeros((code.k, 1), dtype=np.uint8))
+
+    @pytest.mark.parametrize("code", [
+        make_code(EnsembleSpec("protograph"), 10),  # z = 1: every block is the identity
+        toy_code([[0, 1], [1, 2]], 3),
+    ], ids=["protograph-z1", "no-base-matrix"])
+    def test_non_circulant_rejected(self, code):
+        # H_p is unit lower triangular, but encode works from circulant blocks
+        with pytest.raises(ValueError, match="circulant expansion"):
             encode(code, np.zeros((code.k, 1), dtype=np.uint8))
 
     def test_shifted_parity_diagonal_rejected(self):

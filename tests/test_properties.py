@@ -1,6 +1,7 @@
-"""Property tests of the hybrid decoder and the symbol- and base-matrix-file readers.
+"""Property tests of the encoder, the hybrid decoder and the symbol- and
+base-matrix-file readers.
 
-The decoder's verdicts are checked against the dense reference solvers in
+The block encoder is checked against a per-row one, the decoder's verdicts are checked against the dense reference solvers in
 ``bandfec.gf2``, its round-based peeling against a textbook peeling queue,
 its word-block elimination kernels against column-scan ones, and
 ``minimal_ml_reception`` against an in-place elimination of every symbol
@@ -18,9 +19,12 @@ from bandfec.codec import (DecodeStatus, OpCounter, ReceptionState, encode, hybr
                            read_symbols)
 from bandfec.gf2 import (SparseBinMatrix, dense_solve_oracle, eliminate, pack_pairs, rank_oracle,
                         substitute, syndrome_is_zero)
-from bandfec.qc import BaseMatrix, EnsembleSpec, ExpansionSpec, make_code, read_base_matrix
+from bandfec.qc import (BaseMatrix, EnsembleSpec, ExpansionSpec, expand, make_code,
+                        read_base_matrix)
 from bandfec.band import permuted_code
 from bandfec.sim import it_completion_time, minimal_ml_reception, reception_order
+
+from oracles import reference_encode
 
 
 @st.composite
@@ -80,6 +84,44 @@ def test_decode_against_oracles(case):
     elif full_rank:
         assert out.status in (DecodeStatus.SUCCESS, DecodeStatus.INCONSISTENT)
         assert (out.status is DecodeStatus.INCONSISTENT) == (dense_solve_oracle(A, rhs) is None)
+
+
+@st.composite
+def encodable_codes(draw):
+    """A code that encode accepts, of z 1-24, and an L.
+
+    Besides the band, unconstrained and constant_band ensembles, hand-built
+    bases: a 1-4 rows, b-a 1-4 source columns, any shifts on the source
+    blocks and below the parity diagonal, a shift-0 diagonal, nothing above
+    it, and a staircase last block or none.
+    """
+    kind = draw(st.sampled_from(["band", "unconstrained", "constant_band", "hand-built"]))
+    z = draw(st.integers(10, 24) if kind == "band" else st.integers(1, 24))
+    seed = draw(st.integers(0, 2**16))
+    if kind == "hand-built":
+        a, M = draw(st.integers(1, 4)), draw(st.integers(0, z - 1))
+        b = a + draw(st.integers(1, 4))
+        rng = np.random.default_rng(seed)
+        e = np.where(rng.random((a, b)) < 0.6, rng.integers(0, M + 1, (a, b)), -1)
+        i, j = np.indices((a, b))
+        e[j - (b - a) > i] = -1
+        e[j - (b - a) == i] = 0
+        spec = ExpansionSpec(z=z, last_block_staircase=draw(st.booleans()))
+        code = expand(BaseMatrix(a=a, b=b, M=M, entries=e), spec)
+    else:
+        ens = EnsembleSpec(kind, M0=draw(st.integers(0, z - 1)))
+        code = make_code(ens, 10 * z, seed=seed)
+    return code, draw(st.sampled_from([0, 1, 3, 8, 16]))
+
+
+@settings(max_examples=300)
+@given(encodable_codes(), st.integers(0, 2**32))
+def test_encode_matches_reference(case, seed):
+    code, L = case
+    source = np.random.default_rng(seed).integers(0, 256, (code.k, L), dtype=np.uint8)
+    got, want = encode(code, source).symbols, reference_encode(code, source)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
 
 
 def reference_peel(state, counter=None):
