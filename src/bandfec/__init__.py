@@ -4,7 +4,7 @@ from .gf2 import SparseBinMatrix, dense_solve_oracle, rank_oracle, syndrome_is_z
 from .qc import (BaseMatrix, EnsembleSpec, ExpansionSpec, QCCode, build_rra_base,
                  expand, load_code, make_code, max_shift, read_base_matrix,
                  sample_shifts, write_base_matrix)
-from .band import BandShape, band_shape, in_band, permuted_code, verify_band
+from .band import BandShape, band_shape, permuted_code
 from .codec import (Codeword, DecodeOutcome, DecodeStatus, OpCounter,
                     ReceptionState, ResidualSystem, back_substitute,
                     build_residual, encode, forward_eliminate, hybrid_decode,

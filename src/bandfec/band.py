@@ -35,42 +35,18 @@ def _grid_transpose(rows: int, cols: int) -> np.ndarray:
     return np.arange(rows * cols).reshape(cols, rows).T.ravel()
 
 
-def in_band(ip, jp, a: int, b: int, m: int, M: int):
-    """Exact membership test for the pseudo-band region of H'.
-
-    Integer arithmetic scaled by b: the entry (i', j') is potentially
-    nonzero iff a(M+1) >= (a/b) j' - i' >= -a, or
-    i' - (a/b) j' >= m - a(M+1).  Accepts scalars or index arrays.
-    """
-    # d = b * ((a/b) j' - i')
-    d = a * np.asarray(jp, dtype=np.int64) - b * np.asarray(ip, dtype=np.int64)
-    first = (d >= -a * b) & (d <= a * b * (M + 1))
-    return first | (-d >= b * m - a * b * (M + 1))
-
-
-def verify_band(code: QCCode, M: int) -> bool:
-    """True iff every nonzero of H, relabelled into H', lies in the band."""
-    pc = permuted_code(code)
-    return bool(np.all(in_band(pc.row_of[code.H.row_ids()], pc.col_of_sym[code.H.indices],
-                               code.base.a, code.base.b, code.m, M)))
-
-
 class PermutedCode:
     """Index maps of a code's band permutation H -> H', shared by decoder and
     simulator; H' itself is never built.
 
     Attributes:
-        row_of: original row index -> H' row index.
         row_orig: H' row index -> original row index.
-        col_of_sym: original symbol index -> H' column index.
         sym_of_col: H' column index -> original symbol index.
     """
 
     def __init__(self, code: QCCode):
         a, b, z = code.base.a, code.base.b, code.spec.z
-        self.row_of = _grid_transpose(a, z)
         self.row_orig = _grid_transpose(z, a)
-        self.col_of_sym = _grid_transpose(b, z)
         self.sym_of_col = _grid_transpose(z, b)
 
 

@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 usage error (including a malformed code or symbol
 file, a code that encode cannot use, a size from the command line or a
-file too large to allocate, and an --out path that is empty, is a
-directory or lies in none), 3 iterative decoding stalled with ML disabled,
+file too large to allocate, a decode or a simulation trial too large to
+allocate, and an --out path that is empty, is a directory or lies in
+none), 3 iterative decoding stalled with ML disabled,
 4 residual system singular, 5 decoded symbols inconsistent (a received
 symbol was corrupt), whether peeling alone or ML elimination decoded them,
 and 1, without a traceback, when stdout is closed before the output is
@@ -18,6 +19,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,13 +36,6 @@ EXIT_CODES = {
 
 _MAX_LOSS_POINTS = 10_000
 
-_ENSEMBLES = {
-    "band": "band",
-    "unconstrained": "unconstrained",
-    "constant-band": "constant_band",
-    "protograph": "protograph",
-}
-
 
 def _check_out(parser, path):
     """An output path that is empty, is a directory or lies in none is a usage
@@ -51,15 +46,13 @@ def _check_out(parser, path):
 
 
 def _check_config(parser, args, ks):
-    """Build the code for every k, so that any value the library rejects is a
-    usage error; returns (ensemble, code at the last k, rate)."""
-    try:
-        ensemble = qc.EnsembleSpec(kind=_ENSEMBLES[args.ensemble], C=args.c_const,
-                                   M0=args.m0)
-        for k in ks:
-            code = qc.make_code(ensemble, k, b=args.b, a=args.a, seed=args.seed)
-    except (ValueError, MemoryError) as e:
-        parser.error(str(e))
+    """Build the code for every k, so that a value the library rejects ends
+    the command before any work starts; returns (ensemble, code at the last
+    k, rate)."""
+    ensemble = qc.EnsembleSpec(kind=args.ensemble.replace("-", "_"), C=args.c_const,
+                               M0=args.m0)
+    for k in ks:
+        code = qc.make_code(ensemble, k, b=args.b, a=args.a, seed=args.seed)
     rate = (args.b - args.a) / args.b
     if args.rate is not None and abs(args.rate - rate) > 1e-9:
         parser.error(f"--rate {args.rate} conflicts with a={args.a}, b={args.b} "
@@ -94,18 +87,15 @@ def cmd_encode(parser, args):
     L = args.symbol_size
     if L < 1:
         parser.error(f"--symbol-size {L} must be >= 1")
-    try:
-        code = qc.load_code(args.code)
-        with open(args.infile, "rb") as f:
-            payload = f.read()
-        need = code.k * L
-        if len(payload) > need:
-            parser.error(f"payload exceeds {need} bytes (k={code.k}, L={L})")
-        buf = np.zeros(need, dtype=np.uint8)
-        buf[:len(payload)] = np.frombuffer(payload, dtype=np.uint8)
-        cw = encode(code, buf.reshape(code.k, L))
-    except (ValueError, OSError, MemoryError) as e:
-        parser.error(str(e))
+    code = qc.load_code(args.code)
+    with open(args.infile, "rb") as f:
+        payload = f.read()
+    need = code.k * L
+    if len(payload) > need:
+        parser.error(f"payload exceeds {need} bytes (k={code.k}, L={L})")
+    buf = np.zeros(need, dtype=np.uint8)
+    buf[:len(payload)] = np.frombuffer(payload, dtype=np.uint8)
+    cw = encode(code, buf.reshape(code.k, L))
     present = {j: cw.symbols[j] for j in range(code.n)}
     write_symbols(args.out, code.n, code.k, L, present)
     print(f"encoded {len(payload)} bytes into {code.n} symbols of {L} bytes")
@@ -113,17 +103,11 @@ def cmd_encode(parser, args):
 
 
 def cmd_decode(parser, args):
-    try:
-        code = qc.load_code(args.code)
-        n, k, L, present = read_symbols(args.infile)
-    except (ValueError, OSError, MemoryError) as e:
-        parser.error(str(e))
+    code = qc.load_code(args.code)
+    n, k, L, present = read_symbols(args.infile)
     if (n, k) != (code.n, code.k):
         parser.error(f"symbol file is for n={n}, k={k}; code has n={code.n}, k={code.k}")
-    try:
-        out = hybrid_decode(code, present, L, allow_ml=not args.it_only)
-    except (ValueError, MemoryError) as e:  # an (n, L) buffer numpy cannot allocate
-        parser.error(str(e))
+    out = hybrid_decode(code, present, L, allow_ml=not args.it_only)
     c = out.counter
     print(f"status={out.status.value} received={len(present)} "
           f"it_ops={c.it_ops} fe_ops={c.fe_ops} bs_ops={c.bs_ops}")
@@ -142,17 +126,13 @@ def cmd_sim(parser, args):
     ensemble, _, rate = _check_config(parser, args, used)
     if args.trials < 1:
         parser.error(f"--trials {args.trials} must be >= 1")
-    try:
-        sim.job_count()
-    except ValueError as e:
-        parser.error(str(e))
+    sim.job_count()  # a bad BANDFEC_JOBS is a usage error before any sweep starts
     if args.losses:
         losses = _parse_losses(parser, args.losses)
     else:
         losses = [args.loss]
     if not 0 <= min(losses) <= max(losses) <= 100:
         parser.error("loss percentages must lie in [0, 100]")
-    loss_fracs = [x / 100.0 for x in losses]
     rows = []
     if args.experiment == "ineff":
         curves = sim.ineff_sweep(ensemble, ks, args.trials, args.seed,
@@ -160,23 +140,17 @@ def cmd_sim(parser, args):
         for name in ("it", "ml", "failures"):
             rows += sim.format_rows(f"ineff_{name}", ensemble, ks[0] if len(ks) == 1 else 0,
                                     rate, curves[name], args.seed)
-    elif args.experiment == "bler":
-        points = sim.bler_sweep(ensemble, args.k, loss_fracs, args.trials,
-                                args.seed, b=args.b, a=args.a)
-        pts = [sim.CurvePoint(x=ls, mean=p.mean, stderr=p.stderr, trials=p.trials)
-               for ls, p in zip(losses, points)]
-        rows += sim.format_rows("bler", ensemble, args.k, rate, pts, args.seed)
-    elif args.experiment == "ops-loss":
-        points = sim.ops_vs_loss(ensemble, args.k, loss_fracs, args.trials,
-                                 args.seed, b=args.b, a=args.a)
-        pts = [sim.CurvePoint(x=ls, mean=p.mean, stderr=p.stderr, trials=p.trials)
-               for ls, p in zip(losses, points)]
-        rows += sim.format_rows("ops_loss", ensemble, args.k, rate, pts, args.seed)
-    else:  # ops-k
+    elif args.experiment == "ops-k":
         points, slope = sim.ops_vs_k(ensemble, ks, args.trials, args.seed,
                                      b=args.b, a=args.a)
         rows += sim.format_rows("ops_k", ensemble, 0, rate, points, args.seed)
         print(f"loglog_slope={slope:.4f}")
+    else:  # bler, ops-loss: the points are reported at the loss percentages
+        sweep = sim.bler_sweep if args.experiment == "bler" else sim.ops_vs_loss
+        points = sweep(ensemble, args.k, [x / 100.0 for x in losses], args.trials,
+                       args.seed, b=args.b, a=args.a)
+        rows += sim.format_rows(args.experiment.replace("-", "_"), ensemble, args.k, rate,
+                                [replace(p, x=x) for x, p in zip(losses, points)], args.seed)
     if args.out:
         sim.write_csv(args.out, rows)
         print(f"wrote {len(rows)} rows to {args.out}")
@@ -188,7 +162,8 @@ def cmd_sim(parser, args):
 
 
 def _add_code_params(p):
-    p.add_argument("--ensemble", choices=sorted(_ENSEMBLES), default="band")
+    p.add_argument("--ensemble", default="band",
+                   choices=sorted(kind.replace("_", "-") for kind in qc.ENSEMBLE_KINDS))
     p.add_argument("--k", type=int, default=2000)
     p.add_argument("--a", type=int, default=5)
     p.add_argument("--b", type=int, default=15)
@@ -251,6 +226,11 @@ def main(argv=None) -> int:
         # flush at exit cannot fail again, and end without a traceback
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
+    except (ValueError, OSError, MemoryError) as e:
+        # bad input, an unreadable file or a size too large to allocate,
+        # from any command, is a usage error with one line; a closed stdout,
+        # also an OSError, ended in the clause above
+        args.sub.error(str(e))
     return status
 
 

@@ -52,9 +52,6 @@ class CurvePoint:
     trials: int
 
 
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], np.uint8)  # set bits per byte
-
-
 def reception_order(n: int, rng) -> np.ndarray:
     """Uniform random transmission order of the n symbols."""
     return rng.permutation(n)
@@ -99,7 +96,7 @@ def _ml_threshold(code: QCCode, order, t_it: int) -> int:
     state.peel_seeded(order[k:t_it], unit.view(np.uint8))
     acc = as_words(state.row_acc)
     rows = acc[acc.any(axis=1)]
-    rows = rows[np.argsort(_POPCOUNT[rows.view(np.uint8)].sum(axis=1), kind="stable")]
+    rows = rows[np.argsort(np.bitwise_count(rows).sum(axis=1), kind="stable")]
     _, free = eliminate(rows, np.zeros((len(rows), 0), np.uint8), j.size)
     return k if free < 0 else t_it - free
 

@@ -24,3 +24,30 @@ def reference_encode(code, source):
         # parity column k+r is still zero, so it drops out of the XOR
         values[k + r] = np.bitwise_xor.reduce(values[H.row(r)], axis=0)
     return values
+
+
+def band_index(idx, blocks, z):
+    """H' index of row or column *idx* of a code with *blocks* block rows or
+    columns of size z: index x*z + y maps to x + y*blocks (see bandfec.band)."""
+    idx = np.asarray(idx, dtype=np.int64)
+    return idx // z + idx % z * blocks
+
+
+def in_band(ip, jp, a: int, b: int, m: int, M: int):
+    """Exact membership test for the pseudo-band region of H'.
+
+    Integer arithmetic scaled by b: the entry (i', j') is potentially
+    nonzero iff a(M+1) >= (a/b) j' - i' >= -a, or
+    i' - (a/b) j' >= m - a(M+1).  Accepts scalars or index arrays.
+    """
+    # d = b * ((a/b) j' - i')
+    d = a * np.asarray(jp, dtype=np.int64) - b * np.asarray(ip, dtype=np.int64)
+    first = (d >= -a * b) & (d <= a * b * (M + 1))
+    return first | (-d >= b * m - a * b * (M + 1))
+
+
+def verify_band(code, M: int) -> bool:
+    """True iff every nonzero of H, relabelled into H', lies in the band."""
+    a, b, z = code.base.a, code.base.b, code.spec.z
+    return bool(np.all(in_band(band_index(code.H.row_ids(), a, z),
+                               band_index(code.H.indices, b, z), a, b, code.m, M)))

@@ -9,7 +9,7 @@ criteria through a module-scoped fixture.
 import numpy as np
 import pytest
 
-from bandfec.band import band_shape, permuted_code, verify_band
+from bandfec.band import band_shape, permuted_code
 from bandfec.codec import (DecodeStatus, OpCounter, ReceptionState,
                            back_substitute, build_residual, encode,
                            forward_eliminate, hybrid_decode)
@@ -19,7 +19,7 @@ from bandfec.sim import (bler_sweep, fit_loglog_slope, format_rows,
                          inefficiency_trial, reception_order, trial_seed,
                          write_csv)
 
-from oracles import residual_to_sparse
+from oracles import residual_to_sparse, verify_band
 
 MASTER = 20260824
 

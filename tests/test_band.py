@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from bandfec.band import _grid_transpose, band_shape, in_band, permuted_code, verify_band
+from bandfec.band import _grid_transpose, band_shape, permuted_code
 from bandfec.qc import EnsembleSpec, make_code
+
+from oracles import band_index, in_band, verify_band
 
 
 def row_weights(A):
@@ -56,7 +58,8 @@ class TestPermuteMatrix:
     def test_preserves_weights_and_entries(self):
         code = make_code(EnsembleSpec("band"), 240, seed=1)
         pc = permuted_code(code)
-        rows, cols = pc.row_of[code.H.row_ids()], pc.col_of_sym[code.H.indices]
+        a, b, z = code.base.a, code.base.b, code.spec.z
+        rows, cols = band_index(code.H.row_ids(), a, z), band_index(code.H.indices, b, z)
         hp_entries = set(zip(rows.tolist(), cols.tolist()))
         assert len(hp_entries) == code.H.indices.size
         assert sorted(row_weights(code.H)) == sorted(np.bincount(rows, minlength=code.m))
@@ -67,7 +70,7 @@ class TestPermuteMatrix:
         for _ in range(100):
             i = int(rng.integers(code.m))
             j = int(rng.integers(code.n))
-            assert d[i, j] == ((int(row[i]), int(pc.col_of_sym[j])) in hp_entries)
+            assert d[i, j] == ((int(row[i]), int(band_index(j, b, z))) in hp_entries)
 
 
 class TestInBand:
@@ -118,8 +121,10 @@ class TestPermutedCode:
     def test_index_maps_consistent(self):
         code = make_code(EnsembleSpec("band"), 450, seed=2)
         pc = permuted_code(code)
-        assert np.array_equal(pc.sym_of_col[pc.col_of_sym], np.arange(code.n))
+        a, b, z = code.base.a, code.base.b, code.spec.z
+        assert np.array_equal(pc.sym_of_col[band_index(np.arange(code.n), b, z)],
+                              np.arange(code.n))
         assert np.array_equal(np.sort(pc.row_orig), np.arange(code.m))
-        # H' rows are relabelled through row_of and read back through row_orig
-        assert np.array_equal(pc.row_of[pc.row_orig], np.arange(code.m))
+        # H' rows are relabelled through band_index and read back through row_orig
+        assert np.array_equal(band_index(pc.row_orig, a, z), np.arange(code.m))
 

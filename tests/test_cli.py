@@ -1,4 +1,6 @@
+import errno
 import hashlib
+import mmap
 import os
 import resource
 import subprocess
@@ -38,6 +40,11 @@ def run_capped(argv):
         [sys.executable, "-m", "bandfec.cli", *map(str, argv)],
         env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True,
         timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
+
+
+def refuse_map(*args, **kwargs):
+    """Stand-in for mmap.mmap on a system with no memory left."""
+    raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
 
 
 def edited_code(tmp_path, code_file, line, pos, value):
@@ -258,6 +265,19 @@ class TestEncodeDecode:
         assert "Traceback" not in proc.stderr
         assert "error: " in proc.stderr.splitlines()[-1]
 
+    def test_residual_beyond_memory(self, tmp_path, code_file, capsys, monkeypatch):
+        # peeling stalls, and the residual's bits cannot be mapped
+        n, k, L, present = self.encoded(tmp_path, code_file)
+        rng = np.random.default_rng(1)
+        for j in rng.choice(n, size=int(0.3 * n), replace=False):
+            del present[int(j)]
+        write_symbols(tmp_path / "lossy.bin", n, k, L, present)
+        monkeypatch.setattr(mmap, "mmap", refuse_map)
+        msg = usage_error(["decode", "--code", code_file, "--in", tmp_path / "lossy.bin",
+                           "--out", tmp_path / "out.bin"], capsys)
+        assert msg.startswith("bandfec decode: error: cannot map ")
+        assert not (tmp_path / "out.bin").exists()
+
     def test_payload_too_large(self, tmp_path, code_file):
         (tmp_path / "in.bin").write_bytes(b"z" * (240 * 4 + 1))
         with pytest.raises(SystemExit) as exc:
@@ -385,6 +405,15 @@ class TestSim:
         msg = usage_error(["sim", "bler", "--k", "240", "--loss", "10",
                            "--trials", "2"], capsys)
         assert "BANDFEC_JOBS" in msg
+
+    def test_trial_beyond_memory(self, capsys, monkeypatch):
+        # every trial's peeling stalls past the threshold, and its residual's
+        # bits cannot be mapped
+        monkeypatch.delenv("BANDFEC_JOBS", raising=False)
+        monkeypatch.setattr(mmap, "mmap", refuse_map)
+        msg = usage_error(["sim", "bler", "--k", "240", "--loss", "40", "--trials", "2"],
+                          capsys)
+        assert msg.startswith("bandfec sim: error: cannot map ")
 
     def test_losses_reversed(self, capsys):
         msg = usage_error(["sim", "bler", "--k", "240", "--losses", "31:30:1",

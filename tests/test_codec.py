@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import bandfec
-from bandfec.band import in_band, permuted_code
+from bandfec.band import permuted_code
 from bandfec.codec import (DecodeStatus, OpCounter, ReceptionState,
                            ResidualSystem, back_substitute, build_residual,
                            encode, forward_eliminate, hybrid_decode,
@@ -18,7 +18,7 @@ from bandfec.gf2 import (SparseBinMatrix, dense_solve_oracle, pack_pairs,
 from bandfec.qc import (BaseMatrix, EnsembleSpec, ExpansionSpec, QCCode,
                         expand, make_code)
 
-from oracles import residual_to_sparse
+from oracles import band_index, in_band, residual_to_sparse
 
 
 def toy_code(rows, n):
@@ -304,7 +304,8 @@ class TestResidual:
         pc = permuted_code(code)
         sys = build_residual(code, pc, state)
         sp = residual_to_sparse(sys)
-        rows_hp, cols_hp = self.rows_hp(pc, state), pc.col_of_sym[sys.col_map]
+        rows_hp = self.rows_hp(pc, state)
+        cols_hp = band_index(sys.col_map, code.base.b, code.spec.z)
         assert rows_hp.size == sys.nrows
         a, b, M = 5, 15, code.base.M
         for r in range(sp.m):

@@ -21,10 +21,9 @@ from bandfec.gf2 import (SparseBinMatrix, dense_solve_oracle, eliminate, pack_pa
                         substitute, syndrome_is_zero)
 from bandfec.qc import (BaseMatrix, EnsembleSpec, ExpansionSpec, expand, make_code,
                         read_base_matrix)
-from bandfec.band import permuted_code
 from bandfec.sim import it_completion_time, minimal_ml_reception, reception_order
 
-from oracles import reference_encode
+from oracles import band_index, reference_encode
 
 
 @st.composite
@@ -264,7 +263,7 @@ def reference_eliminate_in_place(bits, ncols):
     return not_pivot
 
 
-def reference_minimal_ml_reception(code, pc, order):
+def reference_minimal_ml_reception(code, order):
     """The smallest decoding prefix from the H columns of every symbol not
     received at prefix k, packed as rows, last-received first, and eliminated
     in place: a row ends without a pivot iff it depends on later-received
@@ -275,7 +274,8 @@ def reference_minimal_ml_reception(code, pc, order):
     pos[order[k:][::-1]] = np.arange(N)
     pos_nz = pos[code.H.indices]
     tail = pos_nz >= 0
-    bits = pack_pairs(N, m, pos_nz[tail], pc.row_of[code.H.row_ids()[tail]])
+    rows_hp = band_index(code.H.row_ids()[tail], code.base.a, code.spec.z)
+    bits = pack_pairs(N, m, pos_nz[tail], rows_hp)
     dep = np.flatnonzero(reference_eliminate_in_place(bits, m))
     return k if dep.size == 0 else n - int(dep[0])
 
@@ -290,7 +290,7 @@ def test_minimal_ml_reception_matches_reference(kind):
         order = reception_order(code.n, np.random.default_rng(seed))
         widest = max(widest, it_completion_time(code, order) - k)
         assert minimal_ml_reception(code, None, order) == \
-            reference_minimal_ml_reception(code, permuted_code(code), order)
+            reference_minimal_ml_reception(code, order)
     assert widest > 64
 
 
@@ -302,7 +302,7 @@ def test_minimal_ml_reception_source_first(kind):
     order = np.concatenate([np.arange(code.k), parity])
     assert it_completion_time(code, order) == code.k
     assert minimal_ml_reception(code, None, order) == code.k == \
-        reference_minimal_ml_reception(code, permuted_code(code), order)
+        reference_minimal_ml_reception(code, order)
 
 
 @st.composite
