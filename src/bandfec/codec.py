@@ -130,12 +130,11 @@ class ReceptionState:
         """Mark symbol j (an index or an index array) received with its value(s);
         with no value, a symbol not received before keeps a zero payload."""
         self.known[j] = True
-        if self.L and value is not None:
+        if value is not None:
             self.values[j] = value
 
     def copy(self):
-        """An independent copy of a peeled ledger; ``values`` and ``row_acc`` are
-        empty when L is 0, so it then copies ``known`` and ``row_unknown`` only."""
+        """An independent copy of a peeled ledger."""
         other = copy.copy(self)
         other.known, other.values = self.known.copy(), self.values.copy()
         other.row_unknown, other.row_acc = self.row_unknown.copy(), self.row_acc.copy()
@@ -143,9 +142,8 @@ class ReceptionState:
 
     def peel(self, counter: OpCounter | None = None):
         """Run iterative decoding to completion or a stopping set."""
-        H = self.code.H
         # unknown values are still zero, so they drop out of the XOR
-        self._peel(H.row_xor(self.values) if self.L else np.zeros((H.m, 0), np.uint8), counter)
+        self._peel(self.code.H.row_xor(self.values), counter)
 
     def peel_seeded(self, j, value):
         """Receive symbols j with payloads *value* into a ledger made with
@@ -169,7 +167,7 @@ class ReceptionState:
         self.known[j] = True
         _, touched = self.code.HT.gather(j)
         self.row_unknown -= np.bincount(touched, minlength=self.code.m)
-        self._rounds(_distinct(touched[self.row_unknown[touched] == 1]))
+        self._rounds(touched[self.row_unknown[touched] == 1])
 
     def _peel(self, row_acc, counter=None):
         H = self.code.H
@@ -179,47 +177,23 @@ class ReceptionState:
 
     def _rounds(self, rows, counter=None):
         """Recover, round by round, the unknown of each of *rows* (the rows left
-        with one) and then of the rows that the recovered symbols leave with one."""
-        H, HT, known, L = self.code.H, self.code.HT, self.known, self.L
+        with one) and then of the rows that the recovered symbols leave with one.
+        A row may appear more than once; its unknown column then does too, and
+        ``np.unique`` keeps the first copy, so each symbol is recovered once,
+        from the first of its rows."""
+        H, HT, known = self.code.H, self.code.HT, self.known
         acc, vals = as_words(self.row_acc), as_words(self.values)
         while rows.size:
             _, cols = H.gather(rows)
-            cols, first = _distinct_first(cols[~known[cols]])
+            cols, first = np.unique(cols[~known[cols]], return_index=True)
             known[cols] = True
             at, touched = HT.gather(cols)
             np.subtract.at(self.row_unknown, touched, 1)
-            if L:
-                vals[cols] = acc[rows[first]]
-                np.bitwise_xor.at(acc, touched, vals[cols[at]])
+            vals[cols] = acc[rows[first]]
+            np.bitwise_xor.at(acc, touched, vals[cols[at]])
             if counter is not None:
                 counter.it_ops += touched.size
-            rows = _distinct(touched[self.row_unknown[touched] == 1])
-
-
-def _distinct(a):
-    """np.unique(a) for a 1-D integer array: a sort and the first of each run
-    of equal values, which on the tens of elements of a peeling round cost a
-    fraction of numpy's hash-based unique."""
-    a = np.sort(a)
-    return a[_run_starts(a)]
-
-
-def _distinct_first(a):
-    """np.unique(a, return_index=True) for a 1-D integer array: the distinct
-    values in order and the position of each one's first occurrence, which a
-    stable argsort puts first in its run."""
-    at = np.argsort(a, kind="stable")
-    a = a[at]
-    new = _run_starts(a)
-    return a[new], at[new]
-
-
-def _run_starts(s):
-    """Mask of the first of each run of equal values in sorted s."""
-    new = np.empty(s.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(s[1:], s[:-1], out=new[1:])
-    return new
+            rows = touched[self.row_unknown[touched] == 1]
 
 
 @dataclass
@@ -277,13 +251,17 @@ def hybrid_decode(code: QCCode, received, symbol_size: int,
     """Iterative decoding first, ML on the residual if it stalls.
 
     *received* maps symbol index -> symbol bytes (values ignored when
-    symbol_size is 0).  ML succeeds iff the residual has full column rank.
+    symbol_size is 0); an index outside [0, n) raises ValueError.  ML
+    succeeds iff the residual has full column rank.
     A decode is INCONSISTENT (a received symbol was corrupt) when a row
     left with no unknown by peeling has a nonzero ``row_acc`` (its
     syndrome) or elimination leaves a surplus right-hand side nonzero.
     """
+    got = np.fromiter(received, dtype=np.int64, count=len(received))
+    if got.size and (got.min() < 0 or got.max() >= code.n):
+        raise ValueError(f"received symbol index out of range [0, {code.n})")
     state = ReceptionState(code, symbol_size)
-    state.receive(np.fromiter(received, dtype=np.int64, count=len(received)))
+    state.receive(got)
     if state.L:  # one by one: stacking the payloads first is no faster
         for j, v in received.items():
             if v is not None:

@@ -65,11 +65,6 @@ class SparseBinMatrix:
         d[self.row_ids(), self.indices] = 1
         return d
 
-    @classmethod
-    def from_dense(cls, d):
-        d = np.asarray(d)
-        return cls.from_coords(d.shape[0], d.shape[1], *np.nonzero(d))
-
     def gather(self, rows):
         """Position in index array *rows* and column of each nonzero of those rows, in turn."""
         start = self.indptr[rows]
@@ -218,30 +213,31 @@ def eliminate(bits, rhs, ncols):
     reduced to the symbols received after the first k.
 
     Rows at positions >= 64w are zero left of word w, so the steps of word w
-    run on the rows with a nonzero word w (and the positions 64w.. that
-    pivots are swapped into): a row outside has bit c clear, so it is never
-    a target and stays outside.  Each XOR ends at the pivot row's last
-    nonzero word, past which it would change nothing.
+    run on the positions 64w..64w+63, the first slots of a subset S, and the
+    other rows with a nonzero word w: a row outside has bit c clear, so it is
+    never a target.  Step c pivots among the slots from c - 64w on.  Each XOR
+    ends at the pivot row's last nonzero word, past which it would change
+    nothing.
     """
     L = rhs.shape[1]
     ops, free = 0, -1
     for w in range(-(-ncols // 64)):
         c0, c1 = 64 * w, min(64 * w + 64, ncols)
-        S = np.union1d(c0 + np.flatnonzero(bits[c0:, w]), np.arange(c0, min(c1, len(bits))))
-        at = np.searchsorted(S, np.arange(c0, c1)).tolist()  # subset slot of position c
-        live = np.full(S.size, ~np.uint64(0))  # all ones until a row is a pivot
+        mask = bits[c0:, w] != 0
+        mask[:c1 - c0] = True
+        S = c0 + np.flatnonzero(mask)
         B = bits[S, w:]
         for c in range(c0, c1):
-            hit = (B[:, 0] & _BIT[c - c0] & live).nonzero()[0]
+            i = c - c0
+            hit = i + (B[i:, 0] & _BIT[i]).nonzero()[0]
             if not hit.size:
                 free = c
                 break
-            p, i = hit[0], at[c - c0]
+            p = hit[0]
             if p != i:
                 B[i], B[p] = B[p].copy(), B[i].copy()
                 if L:
                     rhs[S[i]], rhs[S[p]] = rhs[S[p]].copy(), rhs[S[i]].copy()
-            live[i] = 0
             tg = hit[1:]
             if tg.size:
                 span = B[i].nonzero()[0][-1] + 1

@@ -5,11 +5,17 @@ import numpy as np
 from bandfec.gf2 import SparseBinMatrix
 
 
+def sparse_from_dense(d):
+    """SparseBinMatrix with a one at each nonzero of 2-D array d."""
+    d = np.asarray(d)
+    return SparseBinMatrix.from_coords(d.shape[0], d.shape[1], *np.nonzero(d))
+
+
 def residual_to_sparse(sys):
     """A ResidualSystem's packed bits as a SparseBinMatrix, for the dense
     oracles; call it before eliminating."""
     u8 = sys.bits.view(np.uint8)
-    return SparseBinMatrix.from_dense(np.unpackbits(u8, axis=1, bitorder="little")[:, :sys.ncols])
+    return sparse_from_dense(np.unpackbits(u8, axis=1, bitorder="little")[:, :sys.ncols])
 
 
 def reference_encode(code, source):

@@ -18,7 +18,7 @@ from bandfec.gf2 import (SparseBinMatrix, dense_solve_oracle, pack_pairs,
 from bandfec.qc import (BaseMatrix, EnsembleSpec, ExpansionSpec, QCCode,
                         expand, make_code)
 
-from oracles import band_index, in_band, residual_to_sparse
+from oracles import band_index, in_band, residual_to_sparse, sparse_from_dense
 
 
 def toy_code(rows, n):
@@ -235,7 +235,7 @@ class TestElimination:
             agree = 0
             while agree < runs:
                 dense = (rng.random((m, n)) < 0.45).astype(np.uint8)
-                A = SparseBinMatrix.from_dense(dense)
+                A = sparse_from_dense(dense)
                 rhs = rng.integers(0, 256, (m, 2), dtype=np.uint8)
                 # make rhs consistent: re-derive from a planted solution
                 X = rng.integers(0, 256, (n, 2), dtype=np.uint8)
@@ -452,6 +452,17 @@ class TestHybridDecode:
         out = hybrid_decode(code, received, 1, allow_ml=False)
         assert out.status is DecodeStatus.IT_PARTIAL
         assert out.symbols is None
+
+    @pytest.mark.parametrize("index", [-1, "n"])
+    def test_index_out_of_range(self, index):
+        # -1 would otherwise stand for symbol n-1 and decode to SUCCESS,
+        # and n would fail on a bare IndexError
+        code = make_code(EnsembleSpec("band"), 240, seed=4)
+        _, cw = random_codeword(code, 2, np.random.default_rng(0))
+        received = {j: cw.symbols[j] for j in range(code.n - 1)}
+        received[code.n if index == "n" else index] = cw.symbols[-1]
+        with pytest.raises(ValueError, match=rf"out of range \[0, {code.n}\)"):
+            hybrid_decode(code, received, 2)
 
     def test_monotone_in_received_set(self):
         # adding one more received symbol never breaks a success

@@ -19,11 +19,11 @@ from bandfec.codec import (DecodeStatus, OpCounter, ReceptionState, encode, hybr
                            read_symbols)
 from bandfec.gf2 import (SparseBinMatrix, dense_solve_oracle, eliminate, pack_pairs, rank_oracle,
                         substitute, syndrome_is_zero)
-from bandfec.qc import (BaseMatrix, EnsembleSpec, ExpansionSpec, expand, make_code,
+from bandfec.qc import (BaseMatrix, EnsembleSpec, ExpansionSpec, QCCode, expand, make_code,
                         read_base_matrix)
 from bandfec.sim import it_completion_time, minimal_ml_reception, reception_order
 
-from oracles import band_index, reference_encode
+from oracles import band_index, reference_encode, sparse_from_dense
 
 
 @st.composite
@@ -61,7 +61,7 @@ def split_columns(H, erased, received, L):
     known = np.setdiff1d(np.arange(H.n), erased)
     rhs = np.array([np.bitwise_xor.reduce(X[np.intersect1d(H.row(i), known)], axis=0)
                     for i in range(H.m)], dtype=np.uint8).reshape(H.m, L)
-    return SparseBinMatrix.from_dense(dense[:, erased]), rhs
+    return sparse_from_dense(dense[:, erased]), rhs
 
 
 @settings(max_examples=300)
@@ -168,6 +168,20 @@ def test_peel_matches_reference(case):
     with mock.patch.object(ReceptionState, "peel", reference_peel):
         reference = hybrid_decode(code, received, L)
     assert hybrid_decode(code, received, L).status is reference.status
+
+
+def test_repeated_frontier_row_matches_reference():
+    # symbols 0 and 1 are recovered in one round from rows 0 and 1, and each
+    # leaves row 2 with one unknown: row 2 enters the next round twice
+    H = SparseBinMatrix.from_coords(3, 6, [0, 0, 1, 1, 2, 2, 2, 2], [0, 3, 1, 4, 0, 1, 2, 5])
+    code = QCCode(base=None, spec=None, H=H)
+    payload = np.random.default_rng(0).integers(0, 256, (3, 3), dtype=np.uint8)
+    received = dict(zip([3, 4, 5], payload))
+    got, got_ops = peeled(code, received, 3, ReceptionState.peel)
+    want, want_ops = peeled(code, received, 3, reference_peel)
+    assert got.complete and got_ops == want_ops == 5
+    for name in ("known", "row_unknown", "values", "row_acc"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 @settings(max_examples=40)
@@ -341,13 +355,13 @@ def test_elimination_kernels_match_reference(case):
     ops, free = eliminate(*got, ncols)
     assert (ops, free) == reference_eliminate(*want, ncols)
     assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
-    rank = rank_oracle(SparseBinMatrix.from_dense(dense))
+    rank = rank_oracle(sparse_from_dense(dense))
     assert (free < 0) == (rank == ncols)
     if free < 0:
         assert substitute(*got, ncols) == reference_substitute(*want, ncols)
         assert np.array_equal(got[1], want[1])
         if ncols <= 130:  # the dense solver is a Python loop per entry
-            sol = dense_solve_oracle(SparseBinMatrix.from_dense(dense), rhs)
+            sol = dense_solve_oracle(sparse_from_dense(dense), rhs)
             assert (sol is None) == got[1][ncols:].any()
             assert sol is None or np.array_equal(got[1][:ncols], sol)
 

@@ -3,13 +3,15 @@ import pytest
 
 from bandfec.band import permuted_code
 from bandfec.codec import DecodeStatus, OpCounter
-from bandfec.gf2 import SparseBinMatrix, rank_oracle
+from bandfec.gf2 import rank_oracle
 from bandfec import sim
 from bandfec.qc import EnsembleSpec, make_code
 from bandfec.sim import (bler_sweep, fit_loglog_slope, format_rows,
                          ineff_sweep, inefficiency_trial, it_completion_time,
                          minimal_ml_reception, ops_vs_k, ops_vs_loss,
                          reception_order, trial_seed, write_csv, _loss_trial)
+
+from oracles import sparse_from_dense
 
 
 class TestReceptionOrder:
@@ -34,7 +36,7 @@ def naive_minimal_reception(code, order):
     n, k = code.n, code.k
     for t in range(k, n + 1):
         erased = order[t:]
-        if rank_oracle(SparseBinMatrix.from_dense(HT[erased])) == len(erased):
+        if rank_oracle(sparse_from_dense(HT[erased])) == len(erased):
             return t
     return n
 
@@ -86,7 +88,7 @@ class TestInefficiencyTrial:
         t_ml = round(r.ml_inefficiency * k)
         assert minimal_ml_reception(code, pc, order) == t_ml
         erased = order[t_ml - 1:]
-        A = SparseBinMatrix.from_dense(code.H.to_dense().T[erased])
+        A = sparse_from_dense(code.H.to_dense().T[erased])
         assert rank_oracle(A) < len(erased)
 
 

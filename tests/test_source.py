@@ -14,3 +14,15 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statement on line(s) {lines}"
+
+
+NOT_GF2 = [p for p in SOURCES if p.name != "gf2.py"]
+
+
+@pytest.mark.parametrize("path", NOT_GF2, ids=[p.name for p in NOT_GF2])
+def test_csr_read_only_in_gf2(path):
+    # CSR row pointers are gf2's to read; other modules go through its methods
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "indptr"]
+    assert not lines, f"{path.name}: .indptr on line(s) {lines}"
