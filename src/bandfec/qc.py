@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import SparseBinMatrix
+from .gf2 import SparseBinMatrix, as_words
 
 CIRCULANT = "circulant"
 PROTOGRAPH = "protograph"
@@ -90,6 +90,38 @@ class QCCode:
         return SparseBinMatrix.from_coords(self.n, self.m, self.H.indices, self.H.row_ids())
 
     @property
+    def circulant(self):
+        """True when H is a circulant expansion of ``base``: what :meth:`row_sums`
+        and :func:`bandfec.codec.encode` need to work block by block."""
+        return self.base is not None and self.spec.mode == CIRCULANT
+
+    def row_sums(self, X):
+        """H X: the (m, L) array whose row i XORs the rows of C-contiguous X at
+        row i's columns.
+
+        On a circulant expansion each nonzero base entry (i, j, s) XORs block j
+        of the (b, z, words) view of X, shifted by s, into block i of the
+        (a, z, words) view of the result (:func:`xor_shifted`), and a staircase
+        last block XORs its block in twice, the second time one row down.
+        Other codes fall back to :meth:`SparseBinMatrix.row_xor`.
+        """
+        if not self.circulant:
+            return self.H.row_xor(X)
+        base, z = self.base, self.spec.z
+        out = np.zeros((self.m, X.shape[1]), dtype=np.uint8)
+        acc, xs = as_words(out), as_words(X)
+        acc = acc.reshape(base.a, z, acc.shape[1])
+        xs = xs.reshape(base.b, z, xs.shape[1])
+        stair = self.spec.last_block_staircase
+        for i, j in zip(*np.nonzero(base.entries >= 0)):
+            if stair and i == base.a - 1 and j == base.b - 1:
+                acc[i] ^= xs[j]
+                acc[i, 1:] ^= xs[j, :-1]
+            else:
+                xor_shifted(acc[i], xs[j], base.entries[i, j])
+        return out
+
+    @property
     def m(self):
         return self.H.m
 
@@ -104,6 +136,14 @@ class QCCode:
     @property
     def rate(self):
         return self.k / self.n
+
+
+def xor_shifted(acc, blk, s):
+    """acc ^= blk through a circulant of shift s, which maps block row r to
+    column (r + s) % z: two slice XORs on z-row blocks."""
+    z = len(blk)
+    acc[:z - s] ^= blk[s:]
+    acc[z - s:] ^= blk[:s]
 
 
 def build_rra_base(a: int, b: int, src_degree: int) -> BaseMatrix:

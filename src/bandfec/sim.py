@@ -80,9 +80,10 @@ def _ml_threshold(code: QCCode, order, t_it: int) -> int:
 
     Every received payload but the e_j is zero, so ``row_acc`` is seeded by
     XORing each e_j into the rows of its symbol's column alone, which is what
-    ``H.row_xor`` over all payloads would give.  The ledger is made with
-    L = 0 and takes the e_j's width in ``peel_seeded``, so that its payload
-    arrays come from :func:`bandfec.gf2.mapped_zeros`, never from malloc.
+    the row sums over all payloads (:meth:`bandfec.qc.QCCode.row_sums`) would
+    give.  The ledger is made with L = 0 and takes the e_j's width in
+    ``peel_seeded``, so that its payload arrays come from
+    :func:`bandfec.gf2.mapped_zeros`, never from malloc.
     The nonzero reduced rows go to elimination lightest first, which lowers
     fill and so row operations.  Which column is the first without a pivot
     depends only on the rows' span, never on their order: column c has a

@@ -10,9 +10,9 @@ import pytest
 import bandfec
 from bandfec.band import permuted_code
 from bandfec.codec import (DecodeStatus, OpCounter, ReceptionState,
-                           ResidualSystem, back_substitute, build_residual,
-                           encode, forward_eliminate, hybrid_decode,
-                           read_symbols, write_symbols)
+                           ResidualSystem, _xor_rows, back_substitute,
+                           build_residual, encode, forward_eliminate,
+                           hybrid_decode, read_symbols, write_symbols)
 from bandfec.gf2 import (SparseBinMatrix, dense_solve_oracle, pack_pairs,
                          rank_oracle, syndrome_is_zero)
 from bandfec.qc import (BaseMatrix, EnsembleSpec, ExpansionSpec, QCCode,
@@ -186,6 +186,73 @@ class TestPeeling:
             state.peel(c)
             outs.append((c.it_ops, tuple(np.flatnonzero(~state.known))))
         assert outs[0] == outs[1]
+
+
+def assert_row_acc(state):
+    """Each row's ``row_acc`` is the XOR of its known symbols' payloads."""
+    d = state.code.H.to_dense().astype(bool) & state.known
+    want = np.array([np.bitwise_xor.reduce(state.values[d[i]], axis=0)
+                     for i in range(state.code.m)], dtype=np.uint8)
+    assert np.array_equal(state.row_acc, want.reshape(state.row_acc.shape))
+
+
+class TestRowAccumulators:
+    """``row_acc`` after each way into the peeling rounds."""
+
+    @pytest.fixture
+    def round_rows(self):
+        # the destination rows of every XOR pass call, to see repeats
+        calls = []
+
+        def spy(acc, dst, X, src):
+            calls.append(dst.copy())
+            return _xor_rows(acc, dst, X, src)
+
+        with mock.patch("bandfec.codec._xor_rows", side_effect=spy):
+            yield calls
+
+    @staticmethod
+    def repeats(calls):
+        return any(np.unique(dst).size < dst.size for dst in calls)
+
+    @pytest.mark.parametrize("L", [1, 3, 8])
+    def test_peel(self, round_rows, L):
+        code = make_code(EnsembleSpec("band"), 240, seed=5)
+        rng = np.random.default_rng(L)
+        _, cw = random_codeword(code, L, rng)
+        got = rng.permutation(code.n)[round(0.2 * code.n):]
+        state = ReceptionState(code, L)
+        state.receive(got, cw.symbols[got])
+        state.peel()
+        assert state.complete and np.array_equal(state.values, cw.symbols)
+        # two symbols recovered in one round share a row, so the passes run
+        assert self.repeats(round_rows)
+        assert_row_acc(state)
+
+    def test_peel_seeded(self, round_rows):
+        code = make_code(EnsembleSpec("band"), 240, seed=5)
+        rng = np.random.default_rng(1)
+        order = rng.permutation(code.n)
+        j = order[code.k:code.k + 40]
+        state = ReceptionState(code, 0)
+        state.receive(order[:code.k])
+        state.peel_seeded(j, rng.integers(0, 256, (j.size, 16), dtype=np.uint8))
+        assert self.repeats(round_rows)
+        assert_row_acc(state)
+
+    def test_add(self, round_rows):
+        code = make_code(EnsembleSpec("band"), 240, seed=5)
+        rng = np.random.default_rng(2)
+        _, cw = random_codeword(code, 8, rng)
+        order = rng.permutation(code.n)
+        state = ReceptionState(code, 8)
+        state.receive(order[:code.k], cw.symbols[order[:code.k]])
+        state.peel()
+        assert not state.complete
+        round_rows.clear()
+        state.add(order[code.k:code.k + 60])  # zero payloads
+        assert self.repeats(round_rows)
+        assert_row_acc(state)
 
 
 def direct_system(rows, ncols, rhs):
@@ -463,6 +530,22 @@ class TestHybridDecode:
         received[code.n if index == "n" else index] = cw.symbols[-1]
         with pytest.raises(ValueError, match=rf"out of range \[0, {code.n}\)"):
             hybrid_decode(code, received, 2)
+
+    @pytest.mark.parametrize("cut", ["every", "one"])
+    def test_short_payload_rejected(self, cut):
+        # a one-byte payload would broadcast over the symbol's 8 bytes: cut
+        # in every payload it decoded to SUCCESS with wrong symbols, cut in
+        # one to INCONSISTENT
+        code = make_code(EnsembleSpec("band"), 240, seed=4)
+        rng = np.random.default_rng(0)
+        _, cw = random_codeword(code, 8, rng)
+        lost = set(rng.permutation(code.n)[:round(0.2 * code.n)].tolist())
+        received = {j: cw.symbols[j] for j in range(code.n) if j not in lost}
+        first = min(received)
+        for j in (list(received) if cut == "every" else [first]):
+            received[j] = received[j][:1]
+        with pytest.raises(ValueError, match=f"symbol {first} has length 1, expected 8"):
+            hybrid_decode(code, received, 8)
 
     def test_monotone_in_received_set(self):
         # adding one more received symbol never breaks a success

@@ -5,9 +5,9 @@ import pytest
 
 from bandfec.codec import ReceptionState
 from bandfec.gf2 import SparseBinMatrix
-from bandfec.qc import (BaseMatrix, EnsembleSpec, ExpansionSpec, QCCode, build_rra_base,
-                        expand, load_code, make_code, max_shift, read_base_matrix,
-                        sample_shifts, write_base_matrix)
+from bandfec.qc import (ENSEMBLE_KINDS, BaseMatrix, EnsembleSpec, ExpansionSpec, QCCode,
+                        build_rra_base, expand, load_code, make_code, max_shift,
+                        read_base_matrix, sample_shifts, write_base_matrix)
 
 
 class TestBaseMatrix:
@@ -141,6 +141,54 @@ class TestExpand:
         for j in range(5):  # a few source blocks of the first block-row
             blk = d[:z, j * z:(j + 1) * z]
             assert np.all(blk.sum(axis=0) == 1) and np.all(blk.sum(axis=1) == 1)
+
+
+def random_payloads(code, L, seed=0):
+    return np.random.default_rng(seed).integers(0, 256, (code.n, L), dtype=np.uint8)
+
+
+class TestRowSums:
+    """QCCode.row_sums against SparseBinMatrix.row_xor, its fallback."""
+
+    @staticmethod
+    def sums(code, X):
+        # returns the row sums and whether they fell back to H.row_xor
+        with mock.patch.object(SparseBinMatrix, "row_xor", autospec=True,
+                               side_effect=SparseBinMatrix.row_xor) as fallback:
+            out = code.row_sums(X)
+        return out, fallback.called
+
+    @pytest.mark.parametrize("L", [0, 1, 3, 8, 1024])
+    @pytest.mark.parametrize("kind", ENSEMBLE_KINDS)
+    def test_ensembles(self, kind, L):
+        code = make_code(EnsembleSpec(kind), 450, seed=5)  # constant_band needs z > 42
+        X = random_payloads(code, L, L)
+        out, fell_back = self.sums(code, X)
+        assert fell_back == (kind == "protograph")
+        assert np.array_equal(out, code.H.row_xor(X))
+
+    @pytest.mark.parametrize("z, stair", [(1, False), (1, True), (7, False), (7, True)])
+    def test_expanded(self, z, stair):
+        base = build_rra_base(5, 15, 5)
+        base = sample_shifts(base, z - 1, np.random.default_rng(z))
+        code = expand(base, ExpansionSpec(z=z, last_block_staircase=stair))
+        X = random_payloads(code, 8, z)
+        out, fell_back = self.sums(code, X)
+        assert not fell_back and np.array_equal(out, code.H.row_xor(X))
+
+    def test_all_ones_2x2(self):
+        base = BaseMatrix(a=2, b=2, M=0, entries=np.zeros((2, 2), dtype=np.int64))
+        code = expand(base, ExpansionSpec(z=1, last_block_staircase=False))
+        X = random_payloads(code, 3)
+        out, fell_back = self.sums(code, X)
+        assert not fell_back and np.array_equal(out, np.vstack([X[0] ^ X[1]] * 2))
+
+    def test_bare_matrix(self):
+        H = SparseBinMatrix.from_coords(3, 5, [2, 0, 2, 0], [1, 4, 0, 1])
+        code = QCCode(base=None, spec=None, H=H)
+        X = random_payloads(code, 3)
+        out, fell_back = self.sums(code, X)
+        assert fell_back and np.array_equal(out, H.row_xor(X))
 
 
 class TestMakeCode:

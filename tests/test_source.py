@@ -26,3 +26,17 @@ def test_csr_read_only_in_gf2(path):
     lines = [node.lineno for node in ast.walk(tree)
              if isinstance(node, ast.Attribute) and node.attr == "indptr"]
     assert not lines, f"{path.name}: .indptr on line(s) {lines}"
+
+
+NOT_QC_GF2 = [p for p in SOURCES if p.name not in ("qc.py", "gf2.py")]
+
+
+@pytest.mark.parametrize("path", NOT_QC_GF2, ids=[p.name for p in NOT_QC_GF2])
+def test_row_xor_called_only_in_qc_and_gf2(path):
+    # row sums go through QCCode.row_sums, which takes the circulant block
+    # path and falls back to SparseBinMatrix.row_xor itself
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "row_xor"]
+    assert not lines, f"{path.name}: .row_xor( on line(s) {lines}"
