@@ -9,7 +9,11 @@ none), 3 iterative decoding stalled with ML disabled,
 symbol was corrupt), whether peeling alone or ML elimination decoded them,
 and 1, without a traceback, when stdout is closed before the output is
 written.
-A --losses spec lo:hi:step may list at most 10,000 loss points.
+sim takes --k, one k or a comma-separated list for the k sweeps ineff and
+ops-k (which needs two distinct k), and --loss, one percentage or lo:hi:step
+listing at most 10,000 points for the loss sweeps bler and ops-loss; --ks
+and --losses are other spellings of them.  A setting that an experiment
+does not read is a usage error.
 Set BANDFEC_JOBS to parallelize simulation trials; output is identical
 regardless of the job count.
 """
@@ -62,16 +66,23 @@ def _check_config(parser, args, ks):
 
 def _parse_losses(parser, spec: str):
     try:
-        lo, hi, step = (float(x) for x in spec.split(":"))
+        losses = [float(x) for x in spec.split(":")]
     except ValueError:
-        parser.error(f"--losses {spec!r} is not lo:hi:step")
-    if not (np.isfinite([lo, hi, step]).all() and step > 0 and lo <= hi):
-        parser.error(f"--losses {spec!r} needs finite values, step > 0 and lo <= hi")
-    span = (hi - lo + 1e-9) / step  # the spec lists floor(span) + 1 points
-    if span >= _MAX_LOSS_POINTS:
-        parser.error(f"--losses {spec!r} lists {span + 1:.4g} points; "
-                     f"at most {_MAX_LOSS_POINTS} are allowed")
-    return [round(lo + i * step, 10) for i in range(int(span) + 1)]
+        losses = []
+    if len(losses) == 3:
+        lo, hi, step = losses
+        if not (np.isfinite(losses).all() and step > 0 and lo <= hi):
+            parser.error(f"--loss {spec!r} needs finite values, step > 0 and lo <= hi")
+        span = (hi - lo + 1e-9) / step  # the spec lists floor(span) + 1 points
+        if span >= _MAX_LOSS_POINTS:
+            parser.error(f"--loss {spec!r} lists {span + 1:.4g} points; "
+                         f"at most {_MAX_LOSS_POINTS} are allowed")
+        losses = [round(lo + i * step, 10) for i in range(int(span) + 1)]
+    elif len(losses) != 1:
+        parser.error(f"--loss {spec!r} is not a percentage or lo:hi:step")
+    if not 0 <= min(losses) <= max(losses) <= 100:
+        parser.error("loss percentages must lie in [0, 100]")
+    return losses
 
 
 def cmd_gen(parser, args):
@@ -119,20 +130,21 @@ def cmd_decode(parser, args):
 
 def cmd_sim(parser, args):
     try:
-        ks = [int(x) for x in args.ks.split(",")] if args.ks else [args.k]
+        ks = [int(x) for x in args.k.split(",")]
     except ValueError:
-        parser.error(f"--ks {args.ks!r} is not a comma-separated list of integers")
-    used = ks if args.experiment in ("ineff", "ops-k") else [args.k]
-    ensemble, _, rate = _check_config(parser, args, used)
+        parser.error(f"--k {args.k!r} is not a comma-separated list of integers")
+    if args.experiment in ("ineff", "ops-k"):
+        if args.loss is not None:
+            parser.error(f"sim {args.experiment} sweeps k and takes no --loss")
+        if args.experiment == "ops-k" and len(set(ks)) < 2:
+            parser.error("sim ops-k fits a slope and needs at least two distinct k")
+    elif len(ks) > 1:
+        parser.error(f"sim {args.experiment} takes one k, got {len(ks)}")
+    ensemble, _, rate = _check_config(parser, args, ks)
     if args.trials < 1:
         parser.error(f"--trials {args.trials} must be >= 1")
     sim.job_count()  # a bad BANDFEC_JOBS is a usage error before any sweep starts
-    if args.losses:
-        losses = _parse_losses(parser, args.losses)
-    else:
-        losses = [args.loss]
-    if not 0 <= min(losses) <= max(losses) <= 100:
-        parser.error("loss percentages must lie in [0, 100]")
+    losses = _parse_losses(parser, "0" if args.loss is None else args.loss)
     rows = []
     if args.experiment == "ineff":
         curves = sim.ineff_sweep(ensemble, ks, args.trials, args.seed,
@@ -147,9 +159,9 @@ def cmd_sim(parser, args):
         print(f"loglog_slope={slope:.4f}")
     else:  # bler, ops-loss: the points are reported at the loss percentages
         sweep = sim.bler_sweep if args.experiment == "bler" else sim.ops_vs_loss
-        points = sweep(ensemble, args.k, [x / 100.0 for x in losses], args.trials,
+        points = sweep(ensemble, ks[0], [x / 100.0 for x in losses], args.trials,
                        args.seed, b=args.b, a=args.a)
-        rows += sim.format_rows(args.experiment.replace("-", "_"), ensemble, args.k, rate,
+        rows += sim.format_rows(args.experiment.replace("-", "_"), ensemble, ks[0], rate,
                                 [replace(p, x=x) for x, p in zip(losses, points)], args.seed)
     if args.out:
         sim.write_csv(args.out, rows)
@@ -164,7 +176,6 @@ def cmd_sim(parser, args):
 def _add_code_params(p):
     p.add_argument("--ensemble", default="band",
                    choices=sorted(kind.replace("_", "-") for kind in qc.ENSEMBLE_KINDS))
-    p.add_argument("--k", type=int, default=2000)
     p.add_argument("--a", type=int, default=5)
     p.add_argument("--b", type=int, default=15)
     p.add_argument("--rate", type=float, default=None,
@@ -183,6 +194,7 @@ def build_parser():
 
     p = sub.add_parser("gen", help="generate a code and write its base-matrix file")
     _add_code_params(p)
+    p.add_argument("--k", type=int, default=2000)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_gen, sub=p)
 
@@ -204,9 +216,8 @@ def build_parser():
     p = sub.add_parser("sim", help="run an experiment sweep, output CSV")
     p.add_argument("experiment", choices=["ineff", "bler", "ops-loss", "ops-k"])
     _add_code_params(p)
-    p.add_argument("--ks", default=None, help="comma-separated list of k values")
-    p.add_argument("--loss", type=float, default=0.0, help="loss percentage")
-    p.add_argument("--losses", default=None, help="loss percentages lo:hi:step")
+    p.add_argument("--k", "--ks", default="2000", help="k, or k1,k2,... for ineff and ops-k")
+    p.add_argument("--loss", "--losses", help="loss percentage (default 0), or lo:hi:step")
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_sim, sub=p)

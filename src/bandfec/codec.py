@@ -280,25 +280,27 @@ def hybrid_decode(code: QCCode, received, symbol_size: int,
                   allow_ml: bool = True) -> DecodeOutcome:
     """Iterative decoding first, ML on the residual if it stalls.
 
-    *received* maps symbol index -> symbol bytes (values ignored when
-    symbol_size is 0); an index outside [0, n) or a payload whose length is
-    not symbol_size raises ValueError.  ML succeeds iff the residual has full
-    column rank.
+    *received* maps symbol index -> symbol bytes.  Each index must be an
+    integer in [0, n); when symbol_size is positive, each value must be a
+    payload of exactly symbol_size bytes, and when it is 0 the values are
+    not read.  Any other entry raises ValueError.  ML succeeds iff the
+    residual has full column rank.
     A decode is INCONSISTENT (a received symbol was corrupt) when a row
     left with no unknown by peeling has a nonzero ``row_acc`` (its
     syndrome) or elimination leaves a surplus right-hand side nonzero.
     """
-    got = np.fromiter(received, dtype=np.int64, count=len(received))
-    if got.size and (got.min() < 0 or got.max() >= code.n):
-        raise ValueError(f"received symbol index out of range [0, {code.n})")
+    got = np.array(list(received))  # float, not int, when received is empty
+    if got.size and (got.dtype.kind not in "iu" or got.min() < 0 or got.max() >= code.n):
+        raise ValueError(f"received symbol index not an integer or out of range [0, {code.n})")
     state = ReceptionState(code, symbol_size)
-    state.receive(got)
+    state.receive(got.astype(np.int64))
     if state.L:  # one by one: stacking the payloads first is no faster
-        for j, v in received.items():
-            if v is not None:
-                if len(v) != state.L:
-                    raise ValueError(f"symbol {j} has length {len(v)}, expected {state.L}")
-                state.values[j] = v
+        for j, v in zip(got.tolist(), received.values()):
+            if v is None:
+                raise ValueError(f"symbol {j} has no payload, expected {state.L} bytes")
+            if len(v) != state.L:
+                raise ValueError(f"symbol {j} has length {len(v)}, expected {state.L}")
+            state.values[j] = v
     counter = OpCounter()
     state.peel(counter)
     dims = (0, 0)

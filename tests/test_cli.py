@@ -463,3 +463,64 @@ class TestSim:
         assert run(["sim", "bler", "--ensemble", "constant-band", "--k", "2000",
                     "--m0", "10", "--loss", "0", "--trials", "2", "--seed", "1"]) == 0
         assert ",constant_band," in capsys.readouterr().out
+
+
+class TestSimSettings:
+    """sim has one setting for k and one for the loss; a setting that an
+    experiment does not read is a usage error, never dropped."""
+
+    BASE = {"ineff": "240", "bler": "240", "ops-loss": "240", "ops-k": "240,480"}
+    SWEEPS_K = {"ineff", "ops-k"}
+
+    @staticmethod
+    def sim_csv(tmp_path, name, argv):
+        out = tmp_path / f"{name}.csv"
+        status = run(["sim", *argv, "--trials", "2", "--seed", "3", "--out", out])
+        return status, out
+
+    @pytest.mark.parametrize("spelling", ["short", "old"])
+    @pytest.mark.parametrize("setting", ["second-k", "loss"])
+    @pytest.mark.parametrize("experiment", ["ineff", "bler", "ops-loss", "ops-k"])
+    def test_setting_is_read_or_rejected(self, tmp_path, capsys, experiment, setting,
+                                         spelling):
+        k_flag, loss_flag = ("--k", "--loss") if spelling == "short" else ("--ks", "--losses")
+        base = [experiment, "--k", self.BASE[experiment]]
+        if setting == "second-k":
+            argv = [experiment, k_flag, self.BASE[experiment] + ",720"]
+            read = experiment in self.SWEEPS_K
+        else:
+            argv = [*base, loss_flag, "30"]
+            read = experiment not in self.SWEEPS_K
+        if read:
+            assert self.sim_csv(tmp_path, "base", base)[0] == 0
+            status, out = self.sim_csv(tmp_path, "set", argv)
+            assert status == 0
+            assert out.read_bytes() != (tmp_path / "base.csv").read_bytes()
+        else:
+            capsys.readouterr()
+            with pytest.raises(SystemExit) as exc:
+                self.sim_csv(tmp_path, "set", argv)
+            assert exc.value.code == 2
+            errors = [line for line in capsys.readouterr().err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and errors[0].startswith("bandfec sim: error: ")
+            assert not (tmp_path / "set.csv").exists()
+
+    @pytest.mark.parametrize("ks", ["240", "240,240"])
+    def test_ops_k_needs_two_distinct_k(self, tmp_path, capsys, ks):
+        # one point used to give a slope from np.polyfit's RankWarning
+        msg = usage_error(["sim", "ops-k", "--k", ks, "--trials", "2",
+                           "--out", tmp_path / "r.csv"], capsys)
+        assert "at least two distinct k" in msg
+        assert not (tmp_path / "r.csv").exists()
+
+    def test_gen_takes_one_k(self, tmp_path, capsys):
+        msg = usage_error(["gen", "--k", "240,480", "--out", tmp_path / "c.txt"], capsys)
+        assert "--k" in msg
+        assert not (tmp_path / "c.txt").exists()
+
+    @pytest.mark.parametrize("spec", ["30", "30:30:1"])
+    def test_one_loss_either_way(self, tmp_path, spec):
+        status, out = self.sim_csv(tmp_path, spec.replace(":", "_"),
+                                   ["bler", "--k", "240", "--loss", spec])
+        assert status == 0
+        assert out.read_text().splitlines()[1].split(",")[4] == "30"

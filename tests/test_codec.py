@@ -563,6 +563,52 @@ class TestHybridDecode:
             assert hybrid_decode(code, extra, 1).status is DecodeStatus.SUCCESS
 
 
+class TestReceivedEntries:
+    """hybrid_decode reads each entry of *received* one way: an integer index
+    in [0, n) and, at a positive symbol size, a payload of that many bytes."""
+
+    @staticmethod
+    def band_240(L, seed=4, loss=0.2):
+        code = make_code(EnsembleSpec("band"), 240, seed=seed)
+        rng = np.random.default_rng(seed)
+        _, cw = random_codeword(code, L, rng)
+        lost = set(rng.permutation(code.n)[:round(loss * code.n)].tolist())
+        return code, cw, {j: cw.symbols[j] for j in range(code.n) if j not in lost}
+
+    def test_none_payload_rejected(self):
+        # a None payload used to stand for zero bytes: here the decode
+        # returned SUCCESS with 66 wrong symbols
+        code, cw, received = self.band_240(8, seed=121, loss=0.32)
+        out = hybrid_decode(code, received, 8)
+        assert out.status is DecodeStatus.SUCCESS
+        assert np.array_equal(out.symbols, cw.symbols)
+        first = next(j for j, v in received.items() if v.any())
+        received[first] = None
+        with pytest.raises(ValueError, match=f"symbol {first} has no payload, expected 8"):
+            hybrid_decode(code, received, 8)
+
+    @pytest.mark.parametrize("L", [0, 8])
+    def test_float_key_rejected(self, L):
+        # at L=0 the key 1.5 was read as symbol 1 (a complete reception with
+        # it_ops 0); at L=8 it failed on a bare IndexError
+        code, cw, _ = self.band_240(L)
+        received = {j: cw.symbols[j] for j in range(code.n)}
+        received[1.5] = received.pop(1)
+        with pytest.raises(ValueError, match=rf"not an integer or out of range \[0, {code.n}\)"):
+            hybrid_decode(code, received, L)
+
+    def test_values_not_read_at_size_0(self):
+        # None, as sim passes, is as good as a payload at L=0; an empty
+        # mapping, a float array to numpy, decodes as nothing received
+        code, _, received = self.band_240(0)
+        bare = hybrid_decode(code, dict.fromkeys(received), 0)
+        full = hybrid_decode(code, received, 0)
+        assert bare.status is full.status is DecodeStatus.SUCCESS
+        assert bare.counter == full.counter
+        out = hybrid_decode(code, {}, 0, allow_ml=False)
+        assert (out.status, out.counter.it_ops) == (DecodeStatus.IT_PARTIAL, 0)
+
+
 class TestSymbolFile:
     def test_roundtrip(self, tmp_path):
         rng = np.random.default_rng(14)

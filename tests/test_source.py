@@ -40,3 +40,33 @@ def test_row_xor_called_only_in_qc_and_gf2(path):
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "row_xor"]
     assert not lines, f"{path.name}: .row_xor( on line(s) {lines}"
+
+
+def is_broad(handler):
+    """A bare except, or one that names Exception or BaseException."""
+    return handler.type is None or any(
+        getattr(n, "id", getattr(n, "attr", None)) in ("Exception", "BaseException")
+        for n in ast.walk(handler.type))
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_broad_except(path):
+    # errors reach cli.main's one boundary by their type; a bare or broad
+    # handler in between would swallow or remap them
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.ExceptHandler) and is_broad(node)]
+    assert not lines, f"{path.name}: bare or broad except on line(s) {lines}"
+
+
+NOT_CLI = [p for p in SOURCES if p.name != "cli.py"]
+
+
+@pytest.mark.parametrize("path", NOT_CLI, ids=[p.name for p in NOT_CLI])
+def test_print_only_in_cli(path):
+    # the library reports through return values and exceptions, never stdout
+    tree = ast.parse(path.read_text(), filename=str(path))
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+             and node.func.id == "print"]
+    assert not lines, f"{path.name}: print( on line(s) {lines}"
