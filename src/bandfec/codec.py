@@ -14,7 +14,8 @@ at most once, never with ``np.bitwise_xor.at``.  When peeling stalls, the
 residual system is assembled in the band-permuted (H') row/column order and
 solved by Gaussian elimination on bit-packed rows with :mod:`bandfec.gf2`'s
 word-block kernels: each pivot step touches only the rows and words that can
-be nonzero, which for band codes is the pseudo-band.
+be nonzero, which for band codes is the pseudo-band, and the rows are stored
+in band form, so a band residual takes O(k sqrt(k)) memory.
 
 Operation accounting: one row/symbol operation is one row-into-row XOR
 including its right-hand-side symbol; row swaps are free.  Iterative
@@ -30,9 +31,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import as_words, eliminate, mapped_zeros, pack_pairs, substitute
+from .gf2 import BandBits, as_words, eliminate, mapped_zeros, substitute
 from .qc import QCCode, xor_shifted
 from .band import PermutedCode, permuted_code
+
+
+_U8 = np.dtype(np.uint8)
 
 
 @dataclass
@@ -156,18 +160,17 @@ class ReceptionState:
         L = 0, which takes value's width as its L, and peel.  Every other
         received payload is zero, so ``row_acc`` starts as the XOR of j's
         payloads into the rows of their columns, which skips the row sums over
-        every symbol.  That one XOR stays a ``np.bitwise_xor.at``: the rounds'
-        passes (:func:`_xor_rows`) hold two temporaries of a pass's rows where
-        it holds one of all of them, and raised the peak memory of a band
-        k=32000 trial by 2.5 MB to save 1-2 ms of its 650.  ``values`` and
-        ``row_acc`` are mapped (:func:`bandfec.gf2.mapped_zeros`), like the
-        residual that follows."""
+        every symbol; it is XORed straight from *value*, one column-weight
+        slot at a time (:meth:`bandfec.gf2.SparseBinMatrix.xor_rows_into`),
+        so that no temporary holds a payload per nonzero of j's columns.  The
+        ledger keeps no payloads: ``values`` stays (n, 0) and each round
+        XORs its recovered rows from its own copy of them, so only
+        ``row_acc``, mapped like the residual that follows
+        (:func:`bandfec.gf2.mapped_zeros`), grows with L."""
         self.L = value.shape[1]
-        self.values = mapped_zeros((self.code.n, self.L), np.uint8)
-        self.receive(j, value)
+        self.receive(j)
         acc = mapped_zeros((self.code.m, self.L), np.uint8)
-        at, touched = self.code.HT.gather(j)
-        np.bitwise_xor.at(as_words(acc), touched, as_words(self.values)[j[at]])
+        self.code.HT.xor_rows_into(as_words(acc), j, as_words(value))
         self._peel(acc)
 
     def add(self, j):
@@ -192,7 +195,8 @@ class ReceptionState:
         ``np.unique`` keeps the first copy, so each symbol is recovered once,
         from the first of its rows.  Unknown counts drop by ``np.subtract.at``,
         which numpy runs fast on one-dimensional integers; payloads go in
-        passes (:func:`_xor_rows`)."""
+        passes (:func:`_xor_rows`) from the round's copy of its rows, which a
+        ledger with payloads also stores in ``values``."""
         H, HT, known = self.code.H, self.code.HT, self.known
         acc, vals = as_words(self.row_acc), as_words(self.values)
         while rows.size:
@@ -201,9 +205,11 @@ class ReceptionState:
             known[cols] = True
             at, touched = HT.gather(cols)
             np.subtract.at(self.row_unknown, touched, 1)
-            vals[cols] = acc[rows[first]]
             if self.L:
-                _xor_rows(acc, touched, vals, cols[at])
+                got = acc[rows[first]]
+                if vals.shape[1]:
+                    vals[cols] = got
+                _xor_rows(acc, touched, got, at)
             if counter is not None:
                 counter.it_ops += touched.size
             rows = touched[self.row_unknown[touched] == 1]
@@ -228,8 +234,9 @@ def _xor_rows(acc, dst, X, src):
 
 @dataclass
 class ResidualSystem:
-    """Unresolved rows x unknown columns of H', bit-packed, plus symbol RHS."""
-    bits: np.ndarray       # (m', words) uint64
+    """Unresolved rows x unknown columns of H', bit-packed in band form, plus
+    symbol RHS."""
+    bits: BandBits         # m' rows of ceil(n'/64) words
     rhs: np.ndarray        # (m', L) uint8
     ncols: int             # n'
     col_map: np.ndarray    # residual column -> original symbol index
@@ -241,7 +248,13 @@ class ResidualSystem:
 
 
 def build_residual(code: QCCode, pc: PermutedCode, state: ReceptionState) -> ResidualSystem:
-    """Assemble the residual system in H' row/column order after an IT stall."""
+    """Assemble the residual system in H' row/column order after an IT stall.
+
+    The bits are packed in band form (:meth:`bandfec.gf2.BandBits.pack`): at
+    band k=32000 and t_ml, a window of 14-15 of the 231 words per row and a
+    tail of 13 words for the wrap-corner columns, an eighth of the dense
+    size; for a code without a band, full-width rows.
+    """
     H, known = code.H, state.known
     rows = pc.row_orig[state.row_unknown[pc.row_orig] > 0]  # original rows, H' order
     col_map = pc.sym_of_col[~known[pc.sym_of_col]]
@@ -250,8 +263,8 @@ def build_residual(code: QCCode, pc: PermutedCode, state: ReceptionState) -> Res
     res_col = np.full(H.n, -1, dtype=np.int64)
     res_col[col_map] = np.arange(col_map.size)
     keep = ~known[H.indices]  # kept nonzeros necessarily sit in selected rows
-    bits = pack_pairs(rows.size, col_map.size, res_row[H.row_ids()[keep]],
-                      res_col[H.indices[keep]])
+    bits = BandBits.pack(rows.size, col_map.size, res_row[H.row_ids()[keep]],
+                         res_col[H.indices[keep]])
     return ResidualSystem(bits=bits, rhs=state.row_acc[rows], ncols=col_map.size,
                           col_map=col_map)
 
@@ -282,9 +295,10 @@ def hybrid_decode(code: QCCode, received, symbol_size: int,
 
     *received* maps symbol index -> symbol bytes.  Each index must be an
     integer in [0, n); when symbol_size is positive, each value must be a
-    payload of exactly symbol_size bytes, and when it is 0 the values are
-    not read.  Any other entry raises ValueError.  ML succeeds iff the
-    residual has full column rank.
+    1-D uint8 numpy array of exactly symbol_size bytes (``bytes`` is not
+    read: ``np.frombuffer`` makes one such array of it), and when it is 0
+    the values are not read.  Any other entry raises ValueError, which names
+    the symbol.  ML succeeds iff the residual has full column rank.
     A decode is INCONSISTENT (a received symbol was corrupt) when a row
     left with no unknown by peeling has a nonzero ``row_acc`` (its
     syndrome) or elimination leaves a surplus right-hand side nonzero.
@@ -295,12 +309,18 @@ def hybrid_decode(code: QCCode, received, symbol_size: int,
     state = ReceptionState(code, symbol_size)
     state.receive(got.astype(np.int64))
     if state.L:  # one by one: stacking the payloads first is no faster
+        values, L = state.values, state.L
         for j, v in zip(got.tolist(), received.values()):
-            if v is None:
-                raise ValueError(f"symbol {j} has no payload, expected {state.L} bytes")
-            if len(v) != state.L:
-                raise ValueError(f"symbol {j} has length {len(v)}, expected {state.L}")
-            state.values[j] = v
+            # attribute reads only, which cost least per payload; a 2-D array
+            # of L rows passes them, but numpy will not fit it into one row
+            # of values and raises ValueError
+            try:
+                if len(v) == L and v.dtype == _U8:
+                    values[j] = v
+                    continue
+            except (TypeError, AttributeError, ValueError):
+                pass
+            raise ValueError(_payload_error(j, v, L))
     counter = OpCounter()
     state.peel(counter)
     dims = (0, 0)
@@ -317,6 +337,18 @@ def hybrid_decode(code: QCCode, received, symbol_size: int,
     if surplus.any() or state.row_acc[state.row_unknown == 0].any():
         return DecodeOutcome(DecodeStatus.INCONSISTENT, None, counter, *dims)
     return DecodeOutcome(DecodeStatus.SUCCESS, state.values, counter, *dims)
+
+
+def _payload_error(j, v, L):
+    """What is wrong with payload v of symbol j, which is not a 1-D uint8
+    array of L bytes."""
+    if v is None:
+        return f"symbol {j} has no payload, expected {L} bytes"
+    if isinstance(v, np.ndarray) and v.dtype == np.uint8 and v.ndim == 1:
+        return f"symbol {j} has length {len(v)}, expected {L}"
+    what = (f"a {v.ndim}-D {v.dtype} array" if isinstance(v, np.ndarray)
+            else f"of type {type(v).__name__}")
+    return f"symbol {j} payload is {what}, expected a 1-D uint8 array of {L} bytes"
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,10 @@ are deliberately naive reference implementations used as test oracles; the
 production eliminations are the word-block kernels at the bottom,
 :func:`eliminate`, which :mod:`bandfec.codec`'s decoder and
 :func:`bandfec.sim.minimal_ml_reception` call with one pivot rule, and
-:func:`substitute`, which the decoder calls.
+:func:`substitute`, which the decoder calls.  Both run on bit rows in band
+form (:class:`BandBits`): a window of words per row plus a tail of words
+that all rows share, which holds a band residual in O(k sqrt(k)) memory; a
+dense bit array is the same form with one full-width window and no tail.
 """
 
 from __future__ import annotations
@@ -84,12 +87,22 @@ class SparseBinMatrix:
             np.bitwise_xor(acc, xs[self.indices[slot]], out=acc, where=(weight > s)[:, None])
         return out
 
+    def xor_rows_into(self, acc, rows, X):
+        """acc[c] ^= X[i] for each column c of row rows[i], one row-weight
+        slot at a time, so that no temporary exceeds X."""
+        start = self.indptr[rows]
+        weight = self.indptr[rows + 1] - start
+        for s in range(weight.max(initial=0)):
+            has = weight > s
+            np.bitwise_xor.at(acc, self.indices[start[has] + s], X if has.all() else X[has])
+
 
 def mapped_zeros(shape, dtype):
     """Zeroed array in a private anonymous memory map of its own.
 
-    For the decoder's residual bits and the threshold ledger's payloads,
-    multi-megabyte arrays that each decode or trial fills and frees.  A map's
+    For the decoder's residual bits, the threshold ledger's row sums and
+    its unit-vector payloads: arrays of megabytes that each decode or trial
+    fills and frees.  A map's
     pages go back to the system as soon as the array is freed.  From malloc
     they could stay on the heap: glibc raises its mmap threshold to the size
     of each mapped block it frees and keeps up to twice that at the heap
@@ -201,6 +214,120 @@ def pack_pairs(m_rows, n_cols, row_idx, col_idx):
     return bits
 
 
+class BandBits:
+    """Bit rows of ``nwords`` words each, stored in band form.
+
+    Row i keeps ``width`` words from its anchor, global words
+    ``anchors[i] .. anchors[i] + width - 1``, and every row keeps the last
+    ``tail`` words, from word ``tail_start`` on: ``words`` holds the window
+    and then the tail of each row.  Every other word of a row is zero.  No
+    anchor exceeds ``tail_start - width``, so a window never reaches the
+    tail.  A dense (rows, words) array is this form with a full-width window
+    anchored at 0 and no tail (:meth:`full`), and then ``words`` is that
+    array itself.
+    """
+
+    def __init__(self, words, anchors, width, nwords):
+        self.words = words
+        self.anchors = anchors
+        self.width = int(width)
+        self.nwords = int(nwords)
+        self.tail = words.shape[1] - self.width
+        self.tail_start = self.nwords - self.tail
+        self._rows = np.arange(words.shape[0]) * words.shape[1]  # flat index of each row
+
+    @classmethod
+    def full(cls, bits):
+        """Band view of a dense (rows, words) uint64 array, sharing its memory."""
+        return cls(bits, np.zeros(bits.shape[0], np.int64), bits.shape[1], bits.shape[1])
+
+    @classmethod
+    def pack(cls, m_rows, n_cols, row_idx, col_idx):
+        """Coordinate pairs packed in band form, with the width and tail
+        measured from them.  A row is anchored at its first nonzero word or,
+        if smaller, at the word of its position, because :func:`eliminate`
+        may take the row at position 64w + j into the first slots of word w
+        and re-anchor it there.  For a tail from word s on, the width is the
+        widest span from a row's anchor to its last nonzero word left of s,
+        so every row fits, and s minimises width plus tail.  When that is
+        more than half the dense width, the window is the full width and
+        there is no tail: a residual without a band, where each word step
+        copies most rows, would keep nearly all its words and gather them
+        through index arrays as large as the copies.
+        """
+        nwords = (n_cols + 63) // 64 if n_cols else 1
+        row_idx = np.asarray(row_idx, dtype=np.int64)
+        col_idx = np.asarray(col_idx, dtype=np.int64)
+        word = col_idx >> 6
+        first = np.arange(m_rows) // 64
+        np.minimum.at(first, row_idx, word)
+        widest = np.zeros(nwords + 1, np.int64)  # widest[s + 1]: widest span within words <= s
+        np.maximum.at(widest, word + 1, word - first[row_idx] + 1)
+        np.maximum.accumulate(widest, out=widest)
+        size = widest + np.arange(nwords, -1, -1)
+        start = nwords - int(np.argmin(size[::-1]))  # the latest start of least size
+        width = max(int(widest[start]), 1)
+        if 2 * (width + nwords - start) > nwords:
+            width, start = nwords, nwords
+        anchors = np.minimum(first, start - width)
+        at = word - anchors[row_idx]
+        tail = word >= start
+        at[tail] = word[tail] - (start - width)
+        del word
+        words = mapped_zeros((m_rows, width + nwords - start), np.uint64)
+        np.bitwise_or.at(words, (row_idx, at), _ONE << (col_idx & 63).astype(np.uint64))
+        return cls(words, anchors, width, nwords)
+
+    @property
+    def shape(self):
+        """(rows, words) of the dense matrix."""
+        return self.words.shape[0], self.nwords
+
+    def column(self, w, r0, r1):
+        """Word w of rows r0..r1-1."""
+        if w >= self.tail_start:
+            return self.words[r0:r1, self.width + w - self.tail_start]
+        if self.tail_start == self.width:  # every anchor is 0
+            return self.words[r0:r1, w]
+        at = w - self.anchors[r0:r1]
+        out = self.words.reshape(-1).take(self._rows[r0:r1] + at, mode="clip")
+        out[at.view(np.uint64) >= self.width] = 0  # at < 0 wraps round to >= width
+        return out
+
+    def block(self, S, w):
+        """Rows S laid out from word w on, as a new array: the words from w
+        to the end of a window anchored at base = min(w, tail_start - width),
+        then the tail, so column 0 is word w.  Rows S must be zero left of
+        word w and anchored at or left of base, the anchor that
+        :meth:`put_block` gives them.
+        """
+        base = min(w, self.tail_start - self.width)
+        lo, width = w - base, self.width
+        shift = w - self.anchors[S]
+        if lo >= width or (shift == lo).all():
+            return self.words[S, lo:]
+        B = np.empty((S.size, self.words.shape[1] - lo), np.uint64)
+        at = shift[:, None] + np.arange(width - lo)
+        win = self.words.reshape(-1).take(self._rows[S, None] + at, mode="clip")
+        win[at >= width] = 0
+        B[:, :width - lo] = win
+        B[:, width - lo:] = self.words[S, width:]
+        return B
+
+    def put_block(self, S, w, B):
+        """Write words w.. of rows S back from B, re-anchoring the rows at
+        base = min(w, tail_start - width).  The window slots left of word w
+        are not written: they hold words of the old windows that lie left of
+        w, which are zero."""
+        base = min(w, self.tail_start - self.width)
+        self.words[S, w - base:] = B
+        self.anchors[S] = base
+
+
+def _band(bits):
+    return bits if isinstance(bits, BandBits) else BandBits.full(bits)
+
+
 def eliminate(bits, rhs, ncols):
     """Forward GF(2) elimination of columns 0..ncols-1, in place.
 
@@ -210,23 +337,30 @@ def eliminate(bits, rhs, ncols):
     ends the pass.  Returns (row operations, that column or -1).  Callers:
     :func:`bandfec.codec.forward_eliminate` on the decoder's residual
     system, and :func:`bandfec.sim.minimal_ml_reception` on the parity rows
-    reduced to the symbols received after the first k.
+    reduced to the symbols received after the first k.  *bits* is a
+    :class:`BandBits` or a dense (rows, words) uint64 array.
 
     Rows at positions >= 64w are zero left of word w, so the steps of word w
     run on the positions 64w..64w+63, the first slots of a subset S, and the
     other rows with a nonzero word w: a row outside has bit c clear, so it is
     never a target.  Step c pivots among the slots from c - 64w on.  Each XOR
     ends at the pivot row's last nonzero word, past which it would change
-    nothing.
+    nothing.  The rows of S are copied out from word w on
+    (:meth:`BandBits.block`) and written back anchored at w, or at the last
+    anchor a window may have (:meth:`BandBits.put_block`).  That keeps each
+    row inside its window and the tail: a pivot and its targets start at
+    word w and end before their old anchors plus the width, which is at most
+    w plus the width, or in the tail.
     """
+    band = _band(bits)
     L = rhs.shape[1]
     ops, free = 0, -1
     for w in range(-(-ncols // 64)):
         c0, c1 = 64 * w, min(64 * w + 64, ncols)
-        mask = bits[c0:, w] != 0
+        mask = band.column(w, c0, None) != 0
         mask[:c1 - c0] = True
         S = c0 + np.flatnonzero(mask)
-        B = bits[S, w:]
+        B = band.block(S, w)
         for c in range(c0, c1):
             i = c - c0
             hit = i + (B[i:, 0] & _BIT[i]).nonzero()[0]
@@ -245,7 +379,7 @@ def eliminate(bits, rhs, ncols):
                 if L:
                     rhs[S[tg]] ^= rhs[S[i]]
                 ops += tg.size
-        bits[S, w:] = B
+        band.put_block(S, w, B)
         if free >= 0:
             break
     return ops, free
@@ -259,12 +393,14 @@ def substitute(bits, rhs, ncols):
     diagonal.  Elimination leaves no bit below the diagonal or in a surplus
     row, so that count is the set bits less the ncols diagonal ones, and with
     no right-hand side nothing else is done."""
-    ops = int(np.bitwise_count(bits).sum()) - ncols
+    band = _band(bits)
+    ops = int(np.bitwise_count(band.words).sum()) - ncols
     if rhs.shape[1]:
         for w in reversed(range(-(-ncols // 64))):
             c0, c1 = 64 * w, min(64 * w + 64, ncols)
-            S = np.flatnonzero(bits[:c1, w])
-            hit = (bits[S, w, None] & _BIT[:c1 - c0]) != 0
+            col = band.column(w, 0, c1)
+            S = np.flatnonzero(col)
+            hit = (col[S, None] & _BIT[:c1 - c0]) != 0
             hit &= S[:, None] < np.arange(c0, c1)  # strictly above the diagonal
             for c in range(c1 - 1, c0 - 1, -1):
                 tg = S[hit[:, c - c0]]

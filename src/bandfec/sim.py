@@ -82,7 +82,8 @@ def _ml_threshold(code: QCCode, order, t_it: int) -> int:
     XORing each e_j into the rows of its symbol's column alone, which is what
     the row sums over all payloads (:meth:`bandfec.qc.QCCode.row_sums`) would
     give.  The ledger is made with L = 0 and takes the e_j's width in
-    ``peel_seeded``, so that its payload arrays come from
+    ``peel_seeded``, which keeps no payload per symbol, so the only array of
+    the peel that grows with |Q| is ``row_acc``, m x |Q| bits from
     :func:`bandfec.gf2.mapped_zeros`, never from malloc.
     The nonzero reduced rows go to elimination lightest first, which lowers
     fill and so row operations.  Which column is the first without a pivot
@@ -254,9 +255,13 @@ def ops_vs_k(ensemble: EnsembleSpec, ks, trials: int, master_seed: int,
 
 
 def fit_loglog_slope(xs, ys) -> float:
-    xs = np.log(np.asarray(xs, dtype=float))
-    ys = np.log(np.asarray(ys, dtype=float))
-    return float(np.polyfit(xs, ys, 1)[0])
+    """Least-squares slope of log y against log x; a value that is not
+    positive has no logarithm and raises ValueError."""
+    xs, ys = np.asarray(xs, dtype=float), np.asarray(ys, dtype=float)
+    for name, v in (("x", xs), ("mean", ys)):
+        if not (v > 0).all():
+            raise ValueError(f"log-log slope needs every {name} positive, got {v.min():g}")
+    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,19 @@ def sparse_from_dense(d):
     return SparseBinMatrix.from_coords(d.shape[0], d.shape[1], *np.nonzero(d))
 
 
+def band_to_dense(band):
+    """The (rows, words) uint64 array that a gf2.BandBits stores in band form."""
+    out = np.zeros(band.shape, np.uint64)
+    cols = band.anchors[:, None] + np.arange(band.width)
+    np.put_along_axis(out, cols, band.words[:, :band.width], axis=1)
+    out[:, band.tail_start:] = band.words[:, band.width:]
+    return out
+
+
 def residual_to_sparse(sys):
     """A ResidualSystem's packed bits as a SparseBinMatrix, for the dense
     oracles; call it before eliminating."""
-    u8 = sys.bits.view(np.uint8)
+    u8 = band_to_dense(sys.bits).view(np.uint8)
     return sparse_from_dense(np.unpackbits(u8, axis=1, bitorder="little")[:, :sys.ncols])
 
 

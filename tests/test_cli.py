@@ -354,6 +354,14 @@ class TestSim:
                     "--trials", "3", "--seed", "6"]) == 0
         assert "loglog_slope=" in capsys.readouterr().out
 
+    def test_ops_k_zero_mean_is_usage_error(self, tmp_path, capsys):
+        # a protograph code this small never stalls, so the mean ML cost is 0
+        # at both k; the slope used to print as nan with exit 0
+        msg = usage_error(["sim", "ops-k", "--ensemble", "protograph", "--k", "10,20",
+                           "--trials", "2", "--out", tmp_path / "r.csv"], capsys)
+        assert msg == "bandfec sim: error: log-log slope needs every mean positive, got 0"
+        assert not (tmp_path / "r.csv").exists()
+
     @pytest.mark.parametrize("args,digest", [
         (["ineff", "--ensemble", "band", "--ks", "600,1200", "--trials", "20", "--seed", "1"],
          "98ea8088d4fc2361f4aa3a2638a24e46e7353182ebc489c0d49151ad74f211cd"),

@@ -13,12 +13,14 @@ from bandfec.codec import (DecodeStatus, OpCounter, ReceptionState,
                            ResidualSystem, _xor_rows, back_substitute,
                            build_residual, encode, forward_eliminate,
                            hybrid_decode, read_symbols, write_symbols)
-from bandfec.gf2 import (SparseBinMatrix, dense_solve_oracle, pack_pairs,
-                         rank_oracle, syndrome_is_zero)
+from bandfec.gf2 import (SparseBinMatrix, dense_solve_oracle, eliminate, pack_pairs,
+                         rank_oracle, substitute, syndrome_is_zero)
 from bandfec.qc import (BaseMatrix, EnsembleSpec, ExpansionSpec, QCCode,
                         expand, make_code)
+from bandfec.sim import minimal_ml_reception, reception_order
 
-from oracles import band_index, in_band, residual_to_sparse, sparse_from_dense
+from oracles import (band_index, band_to_dense, in_band, residual_to_sparse,
+                     sparse_from_dense)
 
 
 def toy_code(rows, n):
@@ -230,15 +232,27 @@ class TestRowAccumulators:
         assert_row_acc(state)
 
     def test_peel_seeded(self, round_rows):
+        # the seeded ledger keeps no payloads, so its row sums are checked
+        # against a plain peel of the same payloads, which keeps them
         code = make_code(EnsembleSpec("band"), 240, seed=5)
         rng = np.random.default_rng(1)
         order = rng.permutation(code.n)
         j = order[code.k:code.k + 40]
-        state = ReceptionState(code, 0)
-        state.receive(order[:code.k])
-        state.peel_seeded(j, rng.integers(0, 256, (j.size, 16), dtype=np.uint8))
-        assert self.repeats(round_rows)
-        assert_row_acc(state)
+        for L in (3, 16):
+            value = rng.integers(0, 256, (j.size, L), dtype=np.uint8)
+            state = ReceptionState(code, 0)
+            state.receive(order[:code.k])
+            round_rows.clear()
+            state.peel_seeded(j, value)
+            assert self.repeats(round_rows)
+            plain = ReceptionState(code, L)
+            plain.receive(order[:code.k])
+            plain.receive(j, value)
+            plain.peel()
+            assert_row_acc(plain)
+            for name in ("known", "row_unknown", "row_acc"):
+                assert np.array_equal(getattr(state, name), getattr(plain, name)), (name, L)
+            assert state.values.shape == (code.n, 0)
 
     def test_add(self, round_rows):
         code = make_code(EnsembleSpec("band"), 240, seed=5)
@@ -407,6 +421,55 @@ class TestResidual:
         code = self.empty_row_code([[0, 0, 0, -1], [-1, -1, -1, -1], [0, 1, 0, 0]])
         out = hybrid_decode(code, {j: None for j in (0, 5, 7)}, 0)  # 1,2,3,4,6 erased
         assert (out.residual_rows, out.residual_cols) == (4, 5)
+
+
+class TestBandResidual:
+    """The residual's band form against its dense view, on real decodes."""
+
+    @pytest.mark.parametrize("kind", ["band", "unconstrained", "constant_band", "protograph"])
+    def test_kernels_match_dense(self, kind):
+        # at 30% loss and at the ML threshold, where the last columns fill
+        code = make_code(EnsembleSpec(kind), 4000 if "band" in kind else 900, seed=3)
+        pc = permuted_code(code)
+        order = reception_order(code.n, np.random.default_rng(3))
+        rng = np.random.default_rng(4)
+        t_ml = minimal_ml_reception(code, pc, order)
+        for t in (code.n - round(0.3 * code.n), t_ml - 1, t_ml):
+            state = ReceptionState(code, 0)
+            state.receive(order[:t])
+            state.peel()
+            sys = build_residual(code, pc, state)
+            band, dense = sys.bits, band_to_dense(sys.bits)
+            full = band.width == band.nwords
+            assert full == (kind in ("unconstrained", "protograph")), (band.width, band.nwords)
+            if not full:  # wrap-corner rows hold words in both the window and the tail
+                win, tail = dense[:, :band.tail_start].any(1), dense[:, band.tail_start:].any(1)
+                assert (win & tail).any()
+            rhs = rng.integers(0, 256, (sys.nrows, 3), dtype=np.uint8)
+            got, want = rhs.copy(), rhs.copy()
+            ops, free = eliminate(band, got, sys.ncols)
+            assert (ops, free) == eliminate(dense, want, sys.ncols)
+            assert (free < 0) == (t >= t_ml)
+            assert np.array_equal(band_to_dense(band), dense) and np.array_equal(got, want)
+            if free < 0:
+                assert substitute(band, got, sys.ncols) == substitute(dense, want, sys.ncols)
+                assert np.array_equal(got, want)
+
+    def test_size(self):
+        # a band residual at the ML threshold takes a third of the dense
+        # words at most; one without a band is full width
+        for kind, k in [("band", 8000), ("unconstrained", 2000)]:
+            code = make_code(EnsembleSpec(kind), k, seed=1)
+            pc = permuted_code(code)
+            order = reception_order(code.n, np.random.default_rng(1))
+            state = ReceptionState(code, 0)
+            state.receive(order[:minimal_ml_reception(code, pc, order)])
+            state.peel()
+            bits = build_residual(code, pc, state).bits
+            if kind == "band":
+                assert 3 * bits.words.size <= bits.shape[0] * bits.nwords
+            else:
+                assert (bits.width, bits.tail) == (bits.nwords, 0)
 
 
 class TestMLDecode:
@@ -585,6 +648,25 @@ class TestReceivedEntries:
         first = next(j for j, v in received.items() if v.any())
         received[first] = None
         with pytest.raises(ValueError, match=f"symbol {first} has no payload, expected 8"):
+            hybrid_decode(code, received, 8)
+
+    @pytest.mark.parametrize("make, what", [
+        (lambda v: v.astype(np.int64) + 256, "a 1-D int64 array"),
+        (lambda v: v + 0.7, "a 1-D float64 array"),
+        (lambda v: 5, "of type int"),
+        (lambda v: v.tobytes(), "of type bytes"),
+        (lambda v: v[None], "a 2-D uint8 array"),
+        (lambda v: v[:, None], "a 2-D uint8 array"),
+    ], ids=["int64", "float", "scalar", "bytes", "row", "column"])
+    def test_payload_not_uint8_rejected(self, make, what):
+        # an int64 payload 256 higher and a float one 0.7 higher were cast
+        # to the original bytes and decoded to SUCCESS; a scalar raised a
+        # bare TypeError and bytes numpy's "invalid literal for int()"
+        code, cw, received = self.band_240(8)
+        first = min(received)
+        received[first] = make(received[first])
+        with pytest.raises(ValueError, match=f"symbol {first} payload is {what}, "
+                                             "expected a 1-D uint8 array of 8 bytes"):
             hybrid_decode(code, received, 8)
 
     @pytest.mark.parametrize("L", [0, 8])

@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import bandfec
-from bandfec.gf2 import (SparseBinMatrix, dense_solve_oracle, mapped_zeros, rank_oracle,
-                         syndrome_is_zero)
+from bandfec.gf2 import (BandBits, SparseBinMatrix, dense_solve_oracle, mapped_zeros,
+                         pack_pairs, rank_oracle, syndrome_is_zero)
 
-from oracles import sparse_from_dense
+from oracles import band_to_dense, sparse_from_dense
 
 
 def from_rows(n, rows):
@@ -76,6 +76,80 @@ class TestSparseBinMatrix:
         want = np.array([np.bitwise_xor.reduce(X[d[i] == 1], axis=0) for i in range(A.m)],
                         dtype=np.uint8).reshape(A.m, L)
         assert np.array_equal(A.row_xor(X), want)
+
+
+    @pytest.mark.parametrize("L", [3, 16])
+    def test_xor_rows_into(self, L):
+        # the transpose's scatter: each listed row's payload into its columns
+        A = from_rows(6, [[], [0, 2, 3, 5], [], [1], [1, 2, 4]])
+        rows = np.array([4, 1, 3, 0])
+        X = np.random.default_rng(L).integers(0, 256, (rows.size, L), dtype=np.uint8)
+        acc = np.zeros((A.n, L), np.uint8)
+        A.xor_rows_into(acc, rows, X)
+        want = np.zeros_like(acc)
+        for i, r in enumerate(rows):
+            want[A.row(r)] ^= X[i]
+        assert np.array_equal(acc, want)
+
+
+class TestBandBits:
+    """Band storage: a window of words per row from its anchor, and a tail."""
+
+    @staticmethod
+    def corner_band(rows=640, cols=640, reach=40, corner=8, tail=30):
+        # a diagonal band of `reach` columns, and the first `corner` rows
+        # also holding some of the last `tail` columns, as a wrap corner does
+        i, j = np.indices((rows, cols))
+        dense = (j >= i) & (j < i + reach) & ((i + j) % 3 == 0)
+        dense[:corner, cols - tail:] |= (j[:corner, cols - tail:] % 5 == 0)
+        return dense
+
+    def test_pack_measures_window_and_tail(self):
+        dense = self.corner_band()
+        r, c = np.nonzero(dense)
+        band = BandBits.pack(*dense.shape, r, c)
+        assert np.array_equal(band_to_dense(band), pack_pairs(*dense.shape, r, c))
+        # a row of 40 columns from its first spans at most 2 words; the last
+        # 30 columns lie in the last word
+        assert (band.nwords, band.width, band.tail, band.tail_start) == (10, 2, 1, 9)
+        assert band.words.shape == (640, 3) and band.shape == (640, 10)
+        assert (band.anchors <= np.arange(640) // 64).all()
+        assert (band.anchors <= band.tail_start - band.width).all()
+
+    def test_no_band_is_full_width(self):
+        # a band form of more than half the dense words is not kept: here a
+        # window of 5 words and a tail of 1, 6 of the 8, would be
+        dense = self.corner_band(cols=512, reach=200)
+        band = BandBits.pack(*dense.shape, *np.nonzero(dense))
+        assert (band.width, band.tail) == (band.nwords, 0) == (8, 0)
+        assert not band.anchors.any()
+        assert np.array_equal(band.words, pack_pairs(*dense.shape, *np.nonzero(dense)))
+
+    def test_row_right_of_its_position(self):
+        # row 0 starts in word 3: anchored at word 0, the word of its
+        # position, where eliminate's first slots may hold it
+        dense = np.zeros((130, 640), bool)
+        dense[0, 200:210] = True
+        np.fill_diagonal(dense[1:, :], True)
+        band = BandBits.pack(*dense.shape, *np.nonzero(dense))
+        assert band.anchors[0] == 0 and band.width + band.tail < band.nwords
+        assert np.array_equal(band_to_dense(band), pack_pairs(*dense.shape, *np.nonzero(dense)))
+
+    def test_column_and_block(self):
+        dense = self.corner_band()
+        band = BandBits.pack(*dense.shape, *np.nonzero(dense))
+        full = band_to_dense(band)
+        for w in range(band.nwords):
+            assert np.array_equal(band.column(w, 10, 200), full[10:200, w])
+        # rows from position 64w on are zero left of word w, and anchored at
+        # or left of it, once elimination reaches it.  Rows 200-255 at word 3
+        # give words 3-4 and the tail, rows 512.. at word 8 the window's last
+        # word, 8, and the tail, and rows 600.. at word 9 the tail alone
+        for w, S in ((3, np.arange(200, 256)), (8, np.arange(512, 640)),
+                     (9, np.arange(600, 640))):
+            assert not full[S, :w].any() and (band.anchors[S] <= w).all()
+            want = np.hstack([full[S, w:min(w + 2, 9)], full[S, 9:]])
+            assert np.array_equal(band.block(S, w), want)
 
 
 class TestSyndrome:

@@ -17,13 +17,13 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from bandfec.codec import (DecodeStatus, OpCounter, ReceptionState, encode, hybrid_decode,
                            read_symbols)
-from bandfec.gf2 import (SparseBinMatrix, dense_solve_oracle, eliminate, pack_pairs, rank_oracle,
-                        substitute, syndrome_is_zero)
+from bandfec.gf2 import (BandBits, SparseBinMatrix, dense_solve_oracle, eliminate, pack_pairs,
+                         rank_oracle, substitute, syndrome_is_zero)
 from bandfec.qc import (BaseMatrix, EnsembleSpec, ExpansionSpec, QCCode, expand, make_code,
                         read_base_matrix)
 from bandfec.sim import it_completion_time, minimal_ml_reception, reception_order
 
-from oracles import band_index, reference_encode, sparse_from_dense
+from oracles import band_index, band_to_dense, reference_encode, sparse_from_dense
 
 
 @st.composite
@@ -364,6 +364,45 @@ def test_elimination_kernels_match_reference(case):
             sol = dense_solve_oracle(sparse_from_dense(dense), rhs)
             assert (sol is None) == got[1][ncols:].any()
             assert sol is None or np.array_equal(got[1][:ncols], sol)
+
+
+@st.composite
+def band_systems(draw):
+    """Rows x n' coordinate pairs in a diagonal band of 1-200 columns, shifted
+    left or right, whose first rows, as a wrap corner, also hold some of the
+    last 0-200 columns, with 0-3 right-hand side bytes per row."""
+    ncols = draw(st.integers(1, 700))
+    rows = max(1, ncols + draw(st.integers(-2, 8)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32)))
+    reach = draw(st.sampled_from([1, 3, 40, 200]))
+    shift = draw(st.integers(-reach, reach))
+    i, j = np.indices((rows, ncols))
+    first = i * ncols // rows + shift
+    dense = (j >= first) & (j < first + reach)
+    dense &= rng.random(dense.shape) < draw(st.sampled_from([0.1, 0.4, 1.0]))
+    if draw(st.booleans()):
+        np.fill_diagonal(dense, True)
+    corner, tail = draw(st.integers(0, rows)), draw(st.integers(0, min(ncols, 200)))
+    dense[:corner, ncols - tail:] |= rng.random((corner, tail)) < 0.3
+    rhs = rng.integers(0, 256, (rows, draw(st.sampled_from([0, 1, 3]))), dtype=np.uint8)
+    return rows, ncols, np.nonzero(dense), rhs
+
+
+@settings(max_examples=200)
+@given(band_systems())
+def test_band_kernels_match_dense(case):
+    # the band form holds the same bits as the dense array, before and
+    # after elimination, and gives the same ops, free column and rhs
+    rows, ncols, (r, c), rhs = case
+    band, dense = BandBits.pack(rows, ncols, r, c), pack_pairs(rows, ncols, r, c)
+    assert np.array_equal(band_to_dense(band), dense)
+    got, want = rhs.copy(), rhs.copy()
+    ops, free = eliminate(band, got, ncols)
+    assert (ops, free) == reference_eliminate(dense, want, ncols)
+    assert np.array_equal(band_to_dense(band), dense) and np.array_equal(got, want)
+    if free < 0:
+        assert substitute(band, got, ncols) == reference_substitute(dense, want, ncols)
+        assert np.array_equal(got, want)
 
 
 big = st.integers(-2**62, 2**62)

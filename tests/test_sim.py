@@ -1,9 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
 from bandfec.band import permuted_code
-from bandfec.codec import DecodeStatus, OpCounter
-from bandfec.gf2 import rank_oracle
+from bandfec.codec import DecodeStatus, OpCounter, ReceptionState
+from bandfec.gf2 import mapped_zeros, rank_oracle
 from bandfec import sim
 from bandfec.qc import EnsembleSpec, make_code
 from bandfec.sim import (bler_sweep, fit_loglog_slope, format_rows,
@@ -62,6 +64,28 @@ class TestMinimalReception:
             order = reception_order(code.n, np.random.default_rng(t))
             assert it_completion_time(code, order) >= \
                 minimal_ml_reception(code, pc, order)
+
+    def test_threshold_ledger_keeps_no_payloads(self):
+        # the peel at t_it maps only its m x (t_it - k)-bit row sums; no
+        # array holds a payload per symbol, n x (t_it - k) bits
+        code = make_code(EnsembleSpec("band"), 2000, seed=3)
+        order = reception_order(code.n, np.random.default_rng(3))
+        t_it = it_completion_time(code, order)
+        ledgers, peel_seeded = [], ReceptionState.peel_seeded
+
+        def spy(state, j, value):
+            peel_seeded(state, j, value)
+            ledgers.append({name: a.shape for name, a in vars(state).items()
+                            if isinstance(a, np.ndarray)})
+
+        with mock.patch.object(ReceptionState, "peel_seeded", spy), \
+                mock.patch("bandfec.codec.mapped_zeros", wraps=mapped_zeros) as mapped:
+            t_ml = minimal_ml_reception(code, None, order)
+        assert code.k < t_ml < t_it
+        width = -(-(t_it - code.k) // 64) * 8  # bytes of the unit vectors e_j
+        assert [c.args for c in mapped.call_args_list] == [((code.m, width), np.uint8)]
+        assert ledgers == [{"known": (code.n,), "values": (code.n, 0),
+                            "row_unknown": (code.m,), "row_acc": (code.m, width)}]
 
 
 class TestInefficiencyTrial:
@@ -212,6 +236,12 @@ class TestSlopeFit:
         xs = [10, 100, 1000]
         ys = [2 * x ** 1.5 for x in xs]
         assert fit_loglog_slope(xs, ys) == pytest.approx(1.5)
+
+    @pytest.mark.parametrize("xs, ys, name", [([10, 20], [0.0, 3.0], "mean"),
+                                              ([0, 20], [1.0, 3.0], "x")])
+    def test_fit_non_positive_raises(self, xs, ys, name):
+        with pytest.raises(ValueError, match=f"needs every {name} positive"):
+            fit_loglog_slope(xs, ys)
 
 
 class TestCsv:

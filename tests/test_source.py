@@ -17,15 +17,17 @@ def test_no_assert_statements(path):
 
 
 NOT_GF2 = [p for p in SOURCES if p.name != "gf2.py"]
+GF2_INTERNALS = {"indptr", "words", "anchors", "width", "tail", "tail_start"}
 
 
 @pytest.mark.parametrize("path", NOT_GF2, ids=[p.name for p in NOT_GF2])
 def test_csr_read_only_in_gf2(path):
-    # CSR row pointers are gf2's to read; other modules go through its methods
+    # CSR row pointers and the band storage's windows and tail are gf2's to
+    # read; other modules go through its methods
     tree = ast.parse(path.read_text(), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr == "indptr"]
-    assert not lines, f"{path.name}: .indptr on line(s) {lines}"
+    lines = [(node.lineno, node.attr) for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in GF2_INTERNALS]
+    assert not lines, f"{path.name}: gf2 internals read at {lines}"
 
 
 NOT_QC_GF2 = [p for p in SOURCES if p.name not in ("qc.py", "gf2.py")]
