@@ -14,8 +14,9 @@ ops-k (which needs two distinct k), and --loss, one percentage or lo:hi:step
 listing at most 10,000 points for the loss sweeps bler and ops-loss; --ks
 and --losses are other spellings of them.  A setting that an experiment
 does not read is a usage error.
-Set BANDFEC_JOBS to parallelize simulation trials; output is identical
-regardless of the job count.
+Set BANDFEC_JOBS to spread simulation trials over that many processes, at
+most one per CPU the process may run on, in one pool per sweep; output is
+identical regardless of the job count.
 """
 
 from __future__ import annotations

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gf2 import BandBits, as_words, eliminate, mapped_zeros, substitute
+from .gf2 import BandBits, as_words, eliminate, substitute
 from .qc import QCCode, xor_shifted
 from .band import PermutedCode, permuted_code
 
@@ -155,23 +155,13 @@ class ReceptionState:
         drop out of the XOR."""
         self._peel(self.code.row_sums(self.values), counter)
 
-    def peel_seeded(self, j, value):
-        """Receive symbols j with payloads *value* into a ledger made with
-        L = 0, which takes value's width as its L, and peel.  Every other
-        received payload is zero, so ``row_acc`` starts as the XOR of j's
-        payloads into the rows of their columns, which skips the row sums over
-        every symbol; it is XORed straight from *value*, one column-weight
-        slot at a time (:meth:`bandfec.gf2.SparseBinMatrix.xor_rows_into`),
-        so that no temporary holds a payload per nonzero of j's columns.  The
-        ledger keeps no payloads: ``values`` stays (n, 0) and each round
-        XORs its recovered rows from its own copy of them, so only
-        ``row_acc``, mapped like the residual that follows
-        (:func:`bandfec.gf2.mapped_zeros`), grows with L."""
-        self.L = value.shape[1]
-        self.receive(j)
-        acc = mapped_zeros((self.code.m, self.L), np.uint8)
-        self.code.HT.xor_rows_into(as_words(acc), j, as_words(value))
-        self._peel(acc)
+    def peel_seeded(self, row_acc):
+        """Peel from row sums *row_acc* = H ``values`` given as an (m, L)
+        uint8 array, for a ledger made with L = 0 whose received payloads
+        are not stored: L becomes row_acc's width, ``values`` stays (n, 0),
+        and each round XORs its recovered rows from its own copy of them."""
+        self.L = row_acc.shape[1]
+        self._peel(row_acc)
 
     def add(self, j):
         """Receive symbols j with zero payloads into a peeled ledger and peel on

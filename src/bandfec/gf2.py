@@ -87,22 +87,13 @@ class SparseBinMatrix:
             np.bitwise_xor(acc, xs[self.indices[slot]], out=acc, where=(weight > s)[:, None])
         return out
 
-    def xor_rows_into(self, acc, rows, X):
-        """acc[c] ^= X[i] for each column c of row rows[i], one row-weight
-        slot at a time, so that no temporary exceeds X."""
-        start = self.indptr[rows]
-        weight = self.indptr[rows + 1] - start
-        for s in range(weight.max(initial=0)):
-            has = weight > s
-            np.bitwise_xor.at(acc, self.indices[start[has] + s], X if has.all() else X[has])
-
 
 def mapped_zeros(shape, dtype):
     """Zeroed array in a private anonymous memory map of its own.
 
-    For the decoder's residual bits, the threshold ledger's row sums and
-    its unit-vector payloads: arrays of megabytes that each decode or trial
-    fills and frees.  A map's
+    For this module's packers, :func:`pack_pairs` (the threshold ledger's
+    row sums) and :meth:`BandBits.pack` (the decoder's residual bits):
+    arrays of megabytes that each decode or trial fills and frees.  A map's
     pages go back to the system as soon as the array is freed.  From malloc
     they could stay on the heap: glibc raises its mmap threshold to the size
     of each mapped block it frees and keeps up to twice that at the heap

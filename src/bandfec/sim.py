@@ -12,7 +12,8 @@ symbols to the peeled ledger of the longest prefix known to fail, which
 monotone peeling makes exact) and by hybrid decoding (t_ml, from one peel
 at t_it and an elimination over the t_it-k columns of the symbols received
 after the first k, in the manner of inactivation decoding; the peel's
-ledger starts from those symbols' payloads, the only nonzero ones).
+row sums are packed from the (row, symbol) pairs of those symbols, whose
+unit-vector payloads are the only nonzero ones).
 """
 
 from __future__ import annotations
@@ -78,28 +79,28 @@ def minimal_ml_reception(code: QCCode, pc: PermutedCode, order) -> int:
 def _ml_threshold(code: QCCode, order, t_it: int) -> int:
     """minimal_ml_reception's result, given t_it.
 
-    Every received payload but the e_j is zero, so ``row_acc`` is seeded by
-    XORing each e_j into the rows of its symbol's column alone, which is what
-    the row sums over all payloads (:meth:`bandfec.qc.QCCode.row_sums`) would
-    give.  The ledger is made with L = 0 and takes the e_j's width in
-    ``peel_seeded``, which keeps no payload per symbol, so the only array of
-    the peel that grows with |Q| is ``row_acc``, m x |Q| bits from
-    :func:`bandfec.gf2.mapped_zeros`, never from malloc.
+    Every received payload but the e_j is zero, so each row sum of H X is
+    the XOR of the e_j of its columns among order[k:t_it].  A row meets a
+    symbol at most once, so that XOR is the OR of one bit per (row, symbol)
+    pair, and the pairs from the symbols' rows of H's transpose are packed
+    straight into ``row_acc``, m x |Q| bits (:func:`bandfec.gf2.pack_pairs`).
+    ``peel_seeded`` peels from it with L set to its width and keeps no
+    payload per symbol, so ``row_acc`` is the only array of the peel that
+    grows with |Q|.
     The nonzero reduced rows go to elimination lightest first, which lowers
     fill and so row operations.  Which column is the first without a pivot
     depends only on the rows' span, never on their order: column c has a
     pivot iff it is independent of columns 0..c-1 on the reduced rows.
     """
-    k = code.k
-    j = np.arange(t_it - k)
-    unit = pack_pairs(j.size, j.size, j[::-1], j)  # symbol order[t_it-1-j] holds e_j
+    k, q = code.k, t_it - code.k
+    at, touched = code.HT.gather(order[k:t_it])  # symbol order[k+i] holds e_(q-1-i)
     state = ReceptionState(code, 0)
-    state.receive(order[:k])
-    state.peel_seeded(order[k:t_it], unit.view(np.uint8))
+    state.receive(order[:t_it])
+    state.peel_seeded(pack_pairs(code.m, q, touched, q - 1 - at).view(np.uint8))
     acc = as_words(state.row_acc)
     rows = acc[acc.any(axis=1)]
     rows = rows[np.argsort(np.bitwise_count(rows).sum(axis=1), kind="stable")]
-    _, free = eliminate(rows, np.zeros((len(rows), 0), np.uint8), j.size)
+    _, free = eliminate(rows, np.zeros((len(rows), 0), np.uint8), q)
     return k if free < 0 else t_it - free
 
 
@@ -181,7 +182,11 @@ def job_count() -> int:
 
 
 def _pmap(fn, argss):
-    jobs = min(job_count(), len(argss))
+    """[fn(*args) for args in argss], over at most BANDFEC_JOBS processes and
+    no more than there are tasks or CPUs this process may run on."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    jobs = min(job_count(), len(argss), cpus)
     if jobs > 1:
         with Pool(jobs) as pool:
             return pool.starmap(fn, argss)
@@ -197,9 +202,11 @@ def _point(x, values, trials):
 
 
 def _sweep(fn, tag, xs, trials, master_seed, args):
-    """Per x, the results of fn(*args(x, seed)) for the seeds of its trials."""
-    return [_pmap(fn, [args(x, trial_seed(master_seed, tag, pi, t)) for t in range(trials)])
-            for pi, x in enumerate(xs)]
+    """Per x, the results of fn(*args(x, seed)) for the seeds of its trials,
+    from one map over every (x, trial) pair, so that one pool serves it all."""
+    out = _pmap(fn, [args(x, trial_seed(master_seed, tag, pi, t))
+                     for pi, x in enumerate(xs) for t in range(trials)])
+    return [out[pi * trials:(pi + 1) * trials] for pi in range(len(xs))]
 
 
 def ineff_sweep(ensemble: EnsembleSpec, ks, trials: int, master_seed: int,

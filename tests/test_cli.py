@@ -398,13 +398,16 @@ class TestSim:
                                       ["bler", "--k", "240", "--losses", "20:40:10"]],
                              ids=["ineff", "bler"])
     def test_jobs_leave_csv_unchanged(self, tmp_path, monkeypatch, args):
+        # the last job count is above the cap, the CPUs the process may use
+        cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                else os.cpu_count())
         outs = []
-        for jobs in ("1", "2"):
+        for jobs in ("1", "2", str(cpus + 1)):
             monkeypatch.setenv("BANDFEC_JOBS", jobs)
             out = tmp_path / f"jobs{jobs}.csv"
             assert run(["sim", *args, "--trials", "4", "--seed", "9", "--out", out]) == 0
             outs.append(out.read_bytes())
-        assert outs[0] == outs[1]
+        assert outs[0] == outs[1] == outs[2]
 
     @pytest.mark.parametrize("value", ["x", "0"])
     def test_bad_jobs_env(self, monkeypatch, capsys, value):

@@ -232,26 +232,29 @@ class TestRowAccumulators:
         assert_row_acc(state)
 
     def test_peel_seeded(self, round_rows):
-        # the seeded ledger keeps no payloads, so its row sums are checked
-        # against a plain peel of the same payloads, which keeps them
+        # the ML threshold's ledger: row sums packed from the (row, symbol)
+        # pairs of q symbols, symbol i holding e_(q-1-i), against a plain
+        # peel of those symbols' explicit unit-vector payloads
         code = make_code(EnsembleSpec("band"), 240, seed=5)
         rng = np.random.default_rng(1)
         order = rng.permutation(code.n)
-        j = order[code.k:code.k + 40]
-        for L in (3, 16):
-            value = rng.integers(0, 256, (j.size, L), dtype=np.uint8)
+        for q in (40, 100):
+            j = order[code.k:code.k + q]
+            at, rows = code.HT.gather(j)
             state = ReceptionState(code, 0)
-            state.receive(order[:code.k])
+            state.receive(order[:code.k + q])
             round_rows.clear()
-            state.peel_seeded(j, value)
+            state.peel_seeded(pack_pairs(code.m, q, rows, q - 1 - at).view(np.uint8))
             assert self.repeats(round_rows)
-            plain = ReceptionState(code, L)
+            i = np.arange(q)
+            unit = pack_pairs(q, q, i, q - 1 - i).view(np.uint8)
+            plain = ReceptionState(code, unit.shape[1])
             plain.receive(order[:code.k])
-            plain.receive(j, value)
+            plain.receive(j, unit)
             plain.peel()
             assert_row_acc(plain)
             for name in ("known", "row_unknown", "row_acc"):
-                assert np.array_equal(getattr(state, name), getattr(plain, name)), (name, L)
+                assert np.array_equal(getattr(state, name), getattr(plain, name)), (name, q)
             assert state.values.shape == (code.n, 0)
 
     def test_add(self, round_rows):

@@ -78,20 +78,6 @@ class TestSparseBinMatrix:
         assert np.array_equal(A.row_xor(X), want)
 
 
-    @pytest.mark.parametrize("L", [3, 16])
-    def test_xor_rows_into(self, L):
-        # the transpose's scatter: each listed row's payload into its columns
-        A = from_rows(6, [[], [0, 2, 3, 5], [], [1], [1, 2, 4]])
-        rows = np.array([4, 1, 3, 0])
-        X = np.random.default_rng(L).integers(0, 256, (rows.size, L), dtype=np.uint8)
-        acc = np.zeros((A.n, L), np.uint8)
-        A.xor_rows_into(acc, rows, X)
-        want = np.zeros_like(acc)
-        for i, r in enumerate(rows):
-            want[A.row(r)] ^= X[i]
-        assert np.array_equal(acc, want)
-
-
 class TestBandBits:
     """Band storage: a window of words per row from its anchor, and a tail."""
 

@@ -1,3 +1,4 @@
+import os
 from unittest import mock
 
 import numpy as np
@@ -66,26 +67,27 @@ class TestMinimalReception:
                 minimal_ml_reception(code, pc, order)
 
     def test_threshold_ledger_keeps_no_payloads(self):
-        # the peel at t_it maps only its m x (t_it - k)-bit row sums; no
-        # array holds a payload per symbol, n x (t_it - k) bits
+        # the threshold maps one array, the peel's m x (t_it - k)-bit row sums
+        # packed from (row, symbol) pairs: no unit-vector array of q x q bits
+        # and no payload per symbol, n x q bits
         code = make_code(EnsembleSpec("band"), 2000, seed=3)
         order = reception_order(code.n, np.random.default_rng(3))
         t_it = it_completion_time(code, order)
         ledgers, peel_seeded = [], ReceptionState.peel_seeded
 
-        def spy(state, j, value):
-            peel_seeded(state, j, value)
+        def spy(state, row_acc):
+            peel_seeded(state, row_acc)
             ledgers.append({name: a.shape for name, a in vars(state).items()
                             if isinstance(a, np.ndarray)})
 
         with mock.patch.object(ReceptionState, "peel_seeded", spy), \
-                mock.patch("bandfec.codec.mapped_zeros", wraps=mapped_zeros) as mapped:
+                mock.patch("bandfec.gf2.mapped_zeros", wraps=mapped_zeros) as mapped:
             t_ml = minimal_ml_reception(code, None, order)
         assert code.k < t_ml < t_it
-        width = -(-(t_it - code.k) // 64) * 8  # bytes of the unit vectors e_j
-        assert [c.args for c in mapped.call_args_list] == [((code.m, width), np.uint8)]
+        words = -(-(t_it - code.k) // 64)
+        assert [c.args for c in mapped.call_args_list] == [((code.m, words), np.uint64)]
         assert ledgers == [{"known": (code.n,), "values": (code.n, 0),
-                            "row_unknown": (code.m,), "row_acc": (code.m, width)}]
+                            "row_unknown": (code.m,), "row_acc": (code.m, 8 * words)}]
 
 
 class TestInefficiencyTrial:
@@ -202,8 +204,9 @@ class TestSweeps:
                  for t in range(10)}
         assert len(seeds) == 160
 
-    def test_pool_capped_at_task_count(self, monkeypatch):
-        # a fake pool: no worker process starts
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        # a fake pool that records its size: no worker process starts
         sizes = []
 
         class FakePool:
@@ -220,9 +223,27 @@ class TestSweeps:
                 return [fn(*args) for args in argss]
 
         monkeypatch.setattr(sim, "Pool", FakePool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
         monkeypatch.setenv("BANDFEC_JOBS", "64")
+        return sizes
+
+    def test_pool_capped_at_task_count(self, pool_sizes, monkeypatch):
+        # and at the CPUs the process may use, or without affinity at the CPU count
         assert sim._pmap(pow, [(2, 3), (3, 2), (5, 1)]) == [8, 9, 5]
-        assert sizes == [3]
+        assert sim._pmap(pow, [(2, t) for t in range(6)]) == [1, 2, 4, 8, 16, 32]
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert sim._pmap(pow, [(3, t) for t in range(6)]) == [1, 3, 9, 27, 81, 243]
+        assert pool_sizes == [3, 4, 2]
+
+    def test_one_pool_per_sweep(self, pool_sizes, monkeypatch):
+        # every (point, trial) pair goes through one pool, in seed order
+        pts = bler_sweep(EnsembleSpec("band"), 240, [0.3, 0.4, 0.5], trials=3, master_seed=4)
+        assert pool_sizes == [4]
+        monkeypatch.setenv("BANDFEC_JOBS", "1")
+        assert bler_sweep(EnsembleSpec("band"), 240, [0.3, 0.4, 0.5], trials=3,
+                          master_seed=4) == pts
+        assert pool_sizes == [4]
 
     def test_sweep_reproducible(self):
         a = ineff_sweep(EnsembleSpec("unconstrained"), [240], trials=5, master_seed=9)
