@@ -3,8 +3,8 @@
 Exit codes: 0 success, 2 usage error (including a malformed code or symbol
 file, a code that encode cannot use, a size from the command line or a
 file too large to allocate, a decode or a simulation trial too large to
-allocate, and an --out path that is empty, is a directory or lies in
-none), 3 iterative decoding stalled with ML disabled,
+allocate, a negative --seed, and an --out path that is empty, is a
+directory or lies in none), 3 iterative decoding stalled with ML disabled,
 4 residual system singular, 5 decoded symbols inconsistent (a received
 symbol was corrupt), whether peeling alone or ML elimination decoded them,
 and 1, without a traceback, when stdout is closed before the output is
@@ -52,17 +52,15 @@ def _check_out(parser, path):
 
 def _check_config(parser, args, ks):
     """Build the code for every k, so that a value the library rejects ends
-    the command before any work starts; returns (ensemble, code at the last
-    k, rate)."""
+    the command before any work starts; returns the ensemble and the code
+    at the last k."""
+    if args.seed < 0:
+        parser.error(f"--seed {args.seed} must be >= 0")
     ensemble = qc.EnsembleSpec(kind=args.ensemble.replace("-", "_"), C=args.c_const,
                                M0=args.m0)
     for k in ks:
         code = qc.make_code(ensemble, k, b=args.b, a=args.a, seed=args.seed)
-    rate = (args.b - args.a) / args.b
-    if args.rate is not None and abs(args.rate - rate) > 1e-9:
-        parser.error(f"--rate {args.rate} conflicts with a={args.a}, b={args.b} "
-                     f"(derived rate {rate:.6g})")
-    return ensemble, code, rate
+    return ensemble, code
 
 
 def _parse_losses(parser, spec: str):
@@ -87,7 +85,7 @@ def _parse_losses(parser, spec: str):
 
 
 def cmd_gen(parser, args):
-    _, code, _ = _check_config(parser, args, [args.k])
+    _, code = _check_config(parser, args, [args.k])
     qc.write_base_matrix(args.out, code)
     shape = band_shape(args.a, args.b, code.base.M)
     print(f"z={code.spec.z} M={code.base.M} p={shape.p} q={shape.q} "
@@ -141,7 +139,8 @@ def cmd_sim(parser, args):
             parser.error("sim ops-k fits a slope and needs at least two distinct k")
     elif len(ks) > 1:
         parser.error(f"sim {args.experiment} takes one k, got {len(ks)}")
-    ensemble, _, rate = _check_config(parser, args, ks)
+    ensemble, code = _check_config(parser, args, ks)
+    rate = code.rate
     if args.trials < 1:
         parser.error(f"--trials {args.trials} must be >= 1")
     sim.job_count()  # a bad BANDFEC_JOBS is a usage error before any sweep starts
@@ -179,8 +178,6 @@ def _add_code_params(p):
                    choices=sorted(kind.replace("_", "-") for kind in qc.ENSEMBLE_KINDS))
     p.add_argument("--a", type=int, default=5)
     p.add_argument("--b", type=int, default=15)
-    p.add_argument("--rate", type=float, default=None,
-                   help="optional consistency check; rate is derived from a and b")
     p.add_argument("--c-const", type=float, default=3.0,
                    help="band ensemble constant C in M = floor(C*sqrt(z))")
     p.add_argument("--m0", type=int, default=42,

@@ -7,7 +7,7 @@ through SparseBinMatrix's methods, never its row pointers.  The dense solvers
 are deliberately naive reference implementations used as test oracles; the
 production eliminations are the word-block kernels at the bottom,
 :func:`eliminate`, which :mod:`bandfec.codec`'s decoder and
-:func:`bandfec.sim.minimal_ml_reception` call with one pivot rule, and
+:func:`bandfec.sim._ml_threshold` call with one pivot rule, and
 :func:`substitute`, which the decoder calls.  Both run on bit rows in band
 form (:class:`BandBits`): a window of words per row plus a tail of words
 that all rows share, which holds a band residual in O(k sqrt(k)) memory; a
@@ -15,9 +15,6 @@ dense bit array is the same form with one full-width window and no tail.
 """
 
 from __future__ import annotations
-
-import math
-import mmap
 
 import numpy as np
 
@@ -86,33 +83,6 @@ class SparseBinMatrix:
             slot = start + np.minimum(s, weight - 1)  # rows without slot s are masked out
             np.bitwise_xor(acc, xs[self.indices[slot]], out=acc, where=(weight > s)[:, None])
         return out
-
-
-def mapped_zeros(shape, dtype):
-    """Zeroed array in a private anonymous memory map of its own.
-
-    For this module's packers, :func:`pack_pairs` (the threshold ledger's
-    row sums) and :meth:`BandBits.pack` (the decoder's residual bits):
-    arrays of megabytes that each decode or trial fills and frees.  A map's
-    pages go back to the system as soon as the array is freed.  From malloc
-    they could stay on the heap: glibc raises its mmap threshold to the size
-    of each mapped block it frees and keeps up to twice that at the heap
-    top, so a later, larger array is mapped beside the freed one, and the
-    peak memory of a run of trials would depend on the order of their sizes.
-    The map is filled in at once (MAP_POPULATE, where the system has it),
-    which took half the time of faulting its pages in one by one on a
-    2-vCPU Linux VM (15 MB: 5.5 against 11.5 ms).  A map that cannot be made
-    raises MemoryError, as ``np.zeros`` would.
-    """
-    dtype = np.dtype(dtype)
-    count = math.prod(shape)
-    size = max(count * dtype.itemsize, 1)
-    flags = mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS | getattr(mmap, "MAP_POPULATE", 0)
-    try:
-        buf = mmap.mmap(-1, size, flags=flags)
-    except OSError as e:
-        raise MemoryError(f"cannot map {size} bytes: {e.strerror}") from e
-    return np.frombuffer(buf, dtype=dtype, count=count).reshape(shape)
 
 
 def as_words(X):
@@ -196,7 +166,7 @@ _BIT = _ONE << np.arange(64, dtype=np.uint64)
 def pack_pairs(m_rows, n_cols, row_idx, col_idx):
     """Pack coordinate pairs into an (m_rows, ceil(n_cols/64)) uint64 bit matrix."""
     words = (n_cols + 63) // 64 if n_cols else 1
-    bits = mapped_zeros((m_rows, words), np.uint64)
+    bits = np.zeros((m_rows, words), np.uint64)
     if len(col_idx):
         col_idx = np.asarray(col_idx, dtype=np.int64)
         row_idx = np.asarray(row_idx, dtype=np.int64)
@@ -265,7 +235,7 @@ class BandBits:
         tail = word >= start
         at[tail] = word[tail] - (start - width)
         del word
-        words = mapped_zeros((m_rows, width + nwords - start), np.uint64)
+        words = np.zeros((m_rows, width + nwords - start), np.uint64)
         np.bitwise_or.at(words, (row_idx, at), _ONE << (col_idx & 63).astype(np.uint64))
         return cls(words, anchors, width, nwords)
 
@@ -327,7 +297,7 @@ def eliminate(bits, rhs, ncols):
     the other rows below c with bit c set; the first column without a pivot
     ends the pass.  Returns (row operations, that column or -1).  Callers:
     :func:`bandfec.codec.forward_eliminate` on the decoder's residual
-    system, and :func:`bandfec.sim.minimal_ml_reception` on the parity rows
+    system, and :func:`bandfec.sim._ml_threshold` on the parity rows
     reduced to the symbols received after the first k.  *bits* is a
     :class:`BandBits` or a dense (rows, words) uint64 array.
 

@@ -1,6 +1,4 @@
-import errno
 import hashlib
-import mmap
 import os
 import resource
 import subprocess
@@ -13,6 +11,7 @@ import pytest
 import bandfec
 from bandfec.cli import main
 from bandfec.codec import read_symbols, write_symbols
+from bandfec.gf2 import BandBits
 from bandfec.qc import load_code
 
 
@@ -28,6 +27,7 @@ def usage_error(argv, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert err[0].startswith(f"usage: bandfec {argv[0]} ")
+    assert not any(line.startswith("Traceback") for line in err)
     return err[-1]
 
 
@@ -42,9 +42,14 @@ def run_capped(argv):
         timeout=120, preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
 
 
-def refuse_map(*args, **kwargs):
-    """Stand-in for mmap.mmap on a system with no memory left."""
-    raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+TOO_LARGE = ("Unable to allocate 4.00 GiB for an array with shape (65536, 8192) "
+             "and data type uint64")
+
+
+def refuse_pack(*args, **kwargs):
+    """Stand-in for BandBits.pack on a system with no memory left for the
+    residual's bits, raising numpy's MemoryError message."""
+    raise MemoryError(TOO_LARGE)
 
 
 def edited_code(tmp_path, code_file, line, pos, value):
@@ -73,11 +78,6 @@ class TestGen:
         code = load_code(path)
         assert code.k == 240 and code.n == 360
 
-    def test_rate_consistency_check(self, tmp_path):
-        with pytest.raises(SystemExit) as exc:
-            run(["gen", "--k", "240", "--rate", "0.5", "--out", tmp_path / "c.txt"])
-        assert exc.value.code == 2
-
     def test_indivisible_k(self, tmp_path):
         with pytest.raises(SystemExit) as exc:
             run(["gen", "--k", "241", "--out", tmp_path / "c.txt"])
@@ -92,8 +92,9 @@ class TestGen:
         (["--c-const", "nan"], "C must be positive and finite"),
         (["--c-const", "1e308"], "C*sqrt(z) overflows"),
         (["--k", "20"], "need z > M"),  # band: z=2, M=floor(3 sqrt 2)=4
+        (["--seed", "-1"], "--seed -1 must be >= 0"),
     ], ids=["k-zero", "k-negative", "a-equals-b", "c-zero", "c-inf", "c-nan",
-            "c-overflow", "z-not-above-M"])
+            "c-overflow", "z-not-above-M", "seed-negative"])
     def test_rejected_code_params(self, tmp_path, capsys, args, expect):
         msg = usage_error(["gen", *args, "--out", tmp_path / "c.txt"], capsys)
         assert expect in msg
@@ -266,16 +267,16 @@ class TestEncodeDecode:
         assert "error: " in proc.stderr.splitlines()[-1]
 
     def test_residual_beyond_memory(self, tmp_path, code_file, capsys, monkeypatch):
-        # peeling stalls, and the residual's bits cannot be mapped
+        # peeling stalls, and the residual's bits cannot be allocated
         n, k, L, present = self.encoded(tmp_path, code_file)
         rng = np.random.default_rng(1)
         for j in rng.choice(n, size=int(0.3 * n), replace=False):
             del present[int(j)]
         write_symbols(tmp_path / "lossy.bin", n, k, L, present)
-        monkeypatch.setattr(mmap, "mmap", refuse_map)
+        monkeypatch.setattr(BandBits, "pack", refuse_pack)
         msg = usage_error(["decode", "--code", code_file, "--in", tmp_path / "lossy.bin",
                            "--out", tmp_path / "out.bin"], capsys)
-        assert msg.startswith("bandfec decode: error: cannot map ")
+        assert msg == f"bandfec decode: error: {TOO_LARGE}"
         assert not (tmp_path / "out.bin").exists()
 
     def test_payload_too_large(self, tmp_path, code_file):
@@ -417,14 +418,15 @@ class TestSim:
                            "--trials", "2"], capsys)
         assert "BANDFEC_JOBS" in msg
 
-    def test_trial_beyond_memory(self, capsys, monkeypatch):
+    def test_trial_beyond_memory(self, tmp_path, capsys, monkeypatch):
         # every trial's peeling stalls past the threshold, and its residual's
-        # bits cannot be mapped
+        # bits cannot be allocated
         monkeypatch.delenv("BANDFEC_JOBS", raising=False)
-        monkeypatch.setattr(mmap, "mmap", refuse_map)
-        msg = usage_error(["sim", "bler", "--k", "240", "--loss", "40", "--trials", "2"],
-                          capsys)
-        assert msg.startswith("bandfec sim: error: cannot map ")
+        monkeypatch.setattr(BandBits, "pack", refuse_pack)
+        msg = usage_error(["sim", "bler", "--k", "240", "--loss", "40", "--trials", "2",
+                           "--out", tmp_path / "r.csv"], capsys)
+        assert msg == f"bandfec sim: error: {TOO_LARGE}"
+        assert not (tmp_path / "r.csv").exists()
 
     def test_losses_reversed(self, capsys):
         msg = usage_error(["sim", "bler", "--k", "240", "--losses", "31:30:1",
@@ -435,7 +437,8 @@ class TestSim:
         (["ineff", "--ks", "240,abc"], "not a comma-separated list of integers"),
         (["bler", "--k", "240", "--trials", "-1"], "--trials -1 must be >= 1"),
         (["bler", "--k", "240", "--loss", "150"], "must lie in [0, 100]"),
-    ], ids=["ks-not-int", "trials-negative", "loss-above-100"])
+        (["bler", "--k", "240", "--seed", "-1"], "--seed -1 must be >= 0"),
+    ], ids=["ks-not-int", "trials-negative", "loss-above-100", "seed-negative"])
     def test_rejected_sim_args(self, tmp_path, capsys, args, expect):
         msg = usage_error(["sim", *args, "--out", tmp_path / "r.csv"], capsys)
         assert expect in msg

@@ -1,15 +1,8 @@
-import os
-import resource
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 
-import bandfec
-from bandfec.gf2 import (BandBits, SparseBinMatrix, dense_solve_oracle, mapped_zeros,
-                         pack_pairs, rank_oracle, syndrome_is_zero)
+from bandfec.gf2 import (BandBits, SparseBinMatrix, dense_solve_oracle, pack_pairs,
+                         rank_oracle, syndrome_is_zero)
 
 from oracles import band_to_dense, sparse_from_dense
 
@@ -168,30 +161,6 @@ class TestSyndrome:
         H = from_rows(2, [[0, 1]])
         with pytest.raises(ValueError):
             syndrome_is_zero(H, np.zeros((3, 1), np.uint8))
-
-
-@pytest.mark.parametrize("shape, dtype", [((3, 5), np.uint64), ((4, 0), np.uint8),
-                                          ((0, 2), np.uint64)])
-def test_mapped_zeros(shape, dtype):
-    a, b = mapped_zeros(shape, dtype), mapped_zeros(shape, dtype)
-    assert a.shape == shape and a.dtype == dtype and a.flags.c_contiguous
-    assert not a.any()
-    a[...] = 7
-    assert (a == 7).all() and not b.any()
-
-
-def test_mapped_zeros_beyond_memory():
-    # a map larger than the address-space cap is a MemoryError, as np.zeros
-    # gives; never asked for uncapped, since MAP_POPULATE faults pages in
-    src = Path(bandfec.__file__).resolve().parents[1]
-    cap = 4 << 30
-    proc = subprocess.run(
-        [sys.executable, "-c", "import numpy as np; from bandfec.gf2 import mapped_zeros; "
-         "mapped_zeros((5, 1 << 30), np.uint8)"],
-        env=dict(os.environ, PYTHONPATH=str(src)), capture_output=True, text=True, timeout=60,
-        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)))
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines()[-1].startswith("MemoryError: cannot map 5368709120 bytes")
 
 
 def brute_force_solve(A, rhs):

@@ -6,7 +6,7 @@ import pytest
 
 from bandfec.band import permuted_code
 from bandfec.codec import DecodeStatus, OpCounter, ReceptionState
-from bandfec.gf2 import mapped_zeros, rank_oracle
+from bandfec.gf2 import pack_pairs, rank_oracle
 from bandfec import sim
 from bandfec.qc import EnsembleSpec, make_code
 from bandfec.sim import (bler_sweep, fit_loglog_slope, format_rows,
@@ -67,9 +67,9 @@ class TestMinimalReception:
                 minimal_ml_reception(code, pc, order)
 
     def test_threshold_ledger_keeps_no_payloads(self):
-        # the threshold maps one array, the peel's m x (t_it - k)-bit row sums
-        # packed from (row, symbol) pairs: no unit-vector array of q x q bits
-        # and no payload per symbol, n x q bits
+        # the threshold packs one array, the peel's m x (t_it - k)-bit row sums
+        # from (row, symbol) pairs: no unit-vector array of q x q bits and no
+        # payload per symbol, n x q bits
         code = make_code(EnsembleSpec("band"), 2000, seed=3)
         order = reception_order(code.n, np.random.default_rng(3))
         t_it = it_completion_time(code, order)
@@ -81,11 +81,11 @@ class TestMinimalReception:
                             if isinstance(a, np.ndarray)})
 
         with mock.patch.object(ReceptionState, "peel_seeded", spy), \
-                mock.patch("bandfec.gf2.mapped_zeros", wraps=mapped_zeros) as mapped:
+                mock.patch("bandfec.sim.pack_pairs", wraps=pack_pairs) as packed:
             t_ml = minimal_ml_reception(code, None, order)
         assert code.k < t_ml < t_it
+        assert [c.args[:2] for c in packed.call_args_list] == [(code.m, t_it - code.k)]
         words = -(-(t_it - code.k) // 64)
-        assert [c.args for c in mapped.call_args_list] == [((code.m, words), np.uint64)]
         assert ledgers == [{"known": (code.n,), "values": (code.n, 0),
                             "row_unknown": (code.m,), "row_acc": (code.m, 8 * words)}]
 

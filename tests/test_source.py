@@ -44,14 +44,15 @@ def test_row_xor_called_only_in_qc_and_gf2(path):
     assert not lines, f"{path.name}: .row_xor( on line(s) {lines}"
 
 
-@pytest.mark.parametrize("path", NOT_GF2, ids=[p.name for p in NOT_GF2])
-def test_mapped_zeros_called_only_in_gf2(path):
-    # only gf2's packers map memory, so the policy in mapped_zeros' docstring
-    # is one module's to keep
+@pytest.mark.parametrize("path", SOURCES, ids=[p.name for p in SOURCES])
+def test_no_bitwise_xor_at(path):
+    # np.bitwise_xor.at took twice as long as XOR passes that write each
+    # row at most once (codec._xor_rows)
     tree = ast.parse(path.read_text(), filename=str(path))
-    lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
-             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "mapped_zeros"]
-    assert not lines, f"{path.name}: mapped_zeros( on line(s) {lines}"
+    lines = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "at"
+             and getattr(node.value, "attr", getattr(node.value, "id", None)) == "bitwise_xor"]
+    assert not lines, f"{path.name}: bitwise_xor.at on line(s) {lines}"
 
 
 def is_broad(handler):
