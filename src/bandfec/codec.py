@@ -7,15 +7,15 @@ row i, and the last one is then prefix-XORed down its z x z bit staircase.
 
 The iterative phase peels degree-one parity rows on the original matrix
 indexing.  Its two payload steps use the code's structure or plain fancy
-indexing: each row's XOR of the received symbols is summed block by block
-over the base matrix (:meth:`bandfec.qc.QCCode.row_sums`), and each round
-XORs its recovered symbols into their rows in passes that each write a row
-at most once, never with ``np.bitwise_xor.at``.  When peeling stalls, the
-residual system is assembled in the band-permuted (H') row/column order and
-solved by Gaussian elimination on bit-packed rows with :mod:`bandfec.gf2`'s
-word-block kernels: each pivot step touches only the rows and words that can
-be nonzero, which for band codes is the pseudo-band, and the rows are stored
-in band form, so a band residual takes O(k sqrt(k)) memory.
+indexing: each row's XOR of the received symbols is summed block by block over
+the base matrix (:meth:`bandfec.qc.QCCode.row_sums`), and each round XORs its
+recovered symbols into their rows in passes that each write a row at most once,
+4096 rows at most per XOR, never with ``np.bitwise_xor.at``.  When peeling
+stalls, the residual system is assembled in the band-permuted (H') row/column
+order and solved by Gaussian elimination on bit-packed rows with
+:mod:`bandfec.gf2`'s word-block kernels: each pivot step touches only the rows
+and words that can be nonzero, which for band codes is the pseudo-band, and the
+rows are stored in band form, so a band residual takes O(k sqrt(k)) memory.
 
 Operation accounting: one row/symbol operation is one row-into-row XOR
 including its right-hand-side symbol; row swaps are free.  Iterative
@@ -37,6 +37,7 @@ from .band import PermutedCode, permuted_code
 
 
 _U8 = np.dtype(np.uint8)
+_PASS_ROWS = 4096  # rows per XOR in a pass of _xor_rows, which bounds its temporaries
 
 
 @dataclass
@@ -185,8 +186,8 @@ class ReceptionState:
         ``np.unique`` keeps the first copy, so each symbol is recovered once,
         from the first of its rows.  Unknown counts drop by ``np.subtract.at``,
         which numpy runs fast on one-dimensional integers; payloads go in
-        passes (:func:`_xor_rows`) from the round's copy of its rows, which a
-        ledger with payloads also stores in ``values``."""
+        passes of at most _PASS_ROWS rows per XOR (:func:`_xor_rows`) from the
+        round's copy of its rows, which a ledger with payloads keeps in values."""
         H, HT, known = self.code.H, self.code.HT, self.known
         acc, vals = as_words(self.row_acc), as_words(self.values)
         while rows.size:
@@ -210,13 +211,14 @@ def _xor_rows(acc, dst, X, src):
 
     A fancy-indexed XOR writes a repeated row only once, so it runs in
     passes, each over the first remaining occurrence of every distinct row,
-    as many as the most times one row repeats.  ``np.bitwise_xor.at`` took
-    twice as long: 12.6 against 6.5 ms over the rounds of a band k=10000,
-    L=1024 decode at 20% loss.
+    as many as the most times one row repeats, and XORs at most _PASS_ROWS
+    rows at a time.  ``np.bitwise_xor.at`` took twice as long: 12.6 against
+    6.5 ms over the rounds of a band k=10000, L=1024 decode at 20% loss.
     """
     while dst.size:
         rows, first = np.unique(dst, return_index=True)
-        acc[rows] ^= X[src[first]]
+        for s in range(0, rows.size, _PASS_ROWS):
+            acc[rows[s:s + _PASS_ROWS]] ^= X[src[first[s:s + _PASS_ROWS]]]
         rest = np.ones(dst.size, dtype=bool)
         rest[first] = False
         dst, src = dst[rest], src[rest]

@@ -40,10 +40,6 @@ class TrialResult:
     residual_rows: int = 0   # m' of the solved residual system
     residual_cols: int = 0   # n'
 
-    @property
-    def failed(self):
-        return self.status is not DecodeStatus.SUCCESS
-
 
 @dataclass
 class CurvePoint:
@@ -99,6 +95,7 @@ def _ml_threshold(code: QCCode, order, t_it: int) -> int:
     state.peel_seeded(pack_pairs(code.m, q, touched, q - 1 - at).view(np.uint8))
     acc = as_words(state.row_acc)
     rows = acc[acc.any(axis=1)]
+    del state, acc  # the ledger and its row sums go before sorting and elimination
     rows = rows[np.argsort(np.bitwise_count(rows).sum(axis=1), kind="stable")]
     _, free = eliminate(rows, np.zeros((len(rows), 0), np.uint8), q)
     return k if free < 0 else t_it - free
@@ -152,6 +149,14 @@ def inefficiency_trial(ensemble: EnsembleSpec, k: int, seed: int,
                        counter=out.counter, status=out.status,
                        residual_rows=out.residual_rows,
                        residual_cols=out.residual_cols)
+
+
+def _threshold_trial(ensemble, k, seed, b, a):
+    """(t_it/k, t_ml/k) of inefficiency_trial, without its decode at t_ml."""
+    code = make_code(ensemble, k, b=b, a=a, seed=seed)
+    order = reception_order(code.n, np.random.default_rng([int(seed), 2]))
+    t_it = it_completion_time(code, order)
+    return t_it / k, _ml_threshold(code, order, t_it) / k
 
 
 def _loss_trial(ensemble, k, b, a, loss, seed):
@@ -213,18 +218,19 @@ def ineff_sweep(ensemble: EnsembleSpec, ks, trials: int, master_seed: int,
                 b: int = 15, a: int = 5):
     """Mean inefficiency ratio vs k, for IT-only and ML decoding.
 
-    Returns dict with 'it', 'ml' and 'failures' curve-point lists; failed
-    trials (possible only through rank exhaustion) are excluded from the
-    inefficiency means and reported as a failure-fraction curve.
+    Returns dict with 'it', 'ml' and 'failures' curve-point lists.  Trials
+    do not decode (:func:`_threshold_trial`): t_ml is the first prefix whose
+    erased columns are independent, where a decode without payloads always
+    succeeds, so every 'failures' point is 0, kept for the CSV's rows.
     """
     out = {"it": [], "ml": [], "failures": []}
-    sweep = _sweep(inefficiency_trial, 0, ks, trials, master_seed,
+    sweep = _sweep(_threshold_trial, 0, ks, trials, master_seed,
                    lambda k, seed: (ensemble, k, seed, b, a))
     for k, results in zip(ks, sweep):
-        ok = [r for r in results if not r.failed]
-        out["it"].append(_point(k, [r.it_inefficiency for r in ok], trials))
-        out["ml"].append(_point(k, [r.ml_inefficiency for r in ok], trials))
-        out["failures"].append(_point(k, [1.0 if r.failed else 0.0 for r in results], trials))
+        it, ml = zip(*results)
+        out["it"].append(_point(k, it, trials))
+        out["ml"].append(_point(k, ml, trials))
+        out["failures"].append(_point(k, [0.0] * trials, trials))
     return out
 
 

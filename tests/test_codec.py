@@ -10,7 +10,7 @@ import pytest
 import bandfec
 from bandfec.band import permuted_code
 from bandfec.codec import (DecodeStatus, OpCounter, ReceptionState,
-                           ResidualSystem, _xor_rows, back_substitute,
+                           ResidualSystem, _PASS_ROWS, _xor_rows, back_substitute,
                            build_residual, encode, forward_eliminate,
                            hybrid_decode, read_symbols, write_symbols)
 from bandfec.gf2 import (SparseBinMatrix, dense_solve_oracle, eliminate, pack_pairs,
@@ -270,6 +270,21 @@ class TestRowAccumulators:
         state.add(order[code.k:code.k + 60])  # zero payloads
         assert self.repeats(round_rows)
         assert_row_acc(state)
+
+    def test_xor_rows_beyond_pass_bound(self):
+        # a first pass over more distinct rows than one XOR takes, then
+        # passes over the repeats, against one XOR per (row, source) pair
+        rng = np.random.default_rng(3)
+        m = 2 * _PASS_ROWS + 17
+        dst = np.concatenate([rng.permutation(m), rng.integers(0, m, m)])
+        src = rng.integers(0, 50, dst.size)
+        X = rng.integers(0, 256, (50, 3), dtype=np.uint8)
+        acc = rng.integers(0, 256, (m, 3), dtype=np.uint8)
+        want = acc.copy()
+        for d, j in zip(dst, src):
+            want[d] ^= X[j]
+        _xor_rows(acc, dst, X, src)
+        assert np.array_equal(acc, want)
 
 
 def direct_system(rows, ncols, rhs):

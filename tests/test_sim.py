@@ -1,4 +1,5 @@
 import os
+import weakref
 from unittest import mock
 
 import numpy as np
@@ -89,6 +90,27 @@ class TestMinimalReception:
         assert ledgers == [{"known": (code.n,), "values": (code.n, 0),
                             "row_unknown": (code.m,), "row_acc": (code.m, 8 * words)}]
 
+    def test_threshold_row_sums_dropped_before_elimination(self):
+        # the m x (t_it - k)-bit row sums are unreachable once their nonzero
+        # rows are copied out, so elimination never runs beside them
+        code = make_code(EnsembleSpec("band"), 2000, seed=3)
+        order = reception_order(code.n, np.random.default_rng(3))
+        refs, alive, peel_seeded, eliminate = [], [], ReceptionState.peel_seeded, sim.eliminate
+
+        def spy_peel(state, row_acc):
+            peel_seeded(state, row_acc)
+            refs.extend(weakref.ref(a) for a in (state.row_acc, state.row_acc.base))
+
+        def spy_eliminate(*args):
+            alive.append([r() is not None for r in refs])
+            return eliminate(*args)
+
+        with mock.patch.object(ReceptionState, "peel_seeded", spy_peel), \
+                mock.patch("bandfec.sim.eliminate", spy_eliminate):
+            t_ml = minimal_ml_reception(code, None, order)
+        assert code.k < t_ml
+        assert alive == [[False, False]]
+
 
 class TestInefficiencyTrial:
     def test_bounds_and_determinism(self):
@@ -100,8 +122,18 @@ class TestInefficiencyTrial:
 
     def test_residual_is_square_or_tall(self):
         r = inefficiency_trial(EnsembleSpec("band"), 2000, seed=6)
-        assert not r.failed
+        assert r.status is DecodeStatus.SUCCESS
         assert r.residual_rows >= r.residual_cols
+
+    @pytest.mark.parametrize("kind", ["band", "unconstrained", "protograph", "constant_band"])
+    def test_decodes_at_t_ml(self, kind):
+        # the decode that ineff_sweep's trials leave out succeeds at t_ml, and
+        # those trials report the same ratios without it
+        for seed in range(3):
+            r = inefficiency_trial(EnsembleSpec(kind), 480, seed)
+            assert r.status is DecodeStatus.SUCCESS
+            assert sim._threshold_trial(EnsembleSpec(kind), 480, seed, 15, 5) == \
+                (r.it_inefficiency, r.ml_inefficiency)
 
     def test_minimality(self):
         # one fewer symbol than the reported minimum must not decode
@@ -184,6 +216,35 @@ class TestSweeps:
         for pit, pml in zip(out["it"], out["ml"]):
             assert pit.mean >= pml.mean
         assert all(p.mean == 0.0 for p in out["failures"])
+
+    @pytest.mark.parametrize("kind,ks,trials,seed,want", [
+        ("band", [240, 480], 4, 1, [
+            "ineff_it,band,0,0.5,240,1.117708333,0.008735934462,4,1",
+            "ineff_it,band,0,0.5,480,1.1125,0.003989279616,4,1",
+            "ineff_ml,band,0,0.5,240,1.013541667,0.003557969016,4,1",
+            "ineff_ml,band,0,0.5,480,1.006770833,0.001971843176,4,1",
+            "ineff_failures,band,0,0.5,240,0,0,4,1",
+            "ineff_failures,band,0,0.5,480,0,0,4,1"]),
+        ("unconstrained", [240], 5, 9, [
+            "ineff_it,unconstrained,0,0.5,240,1.119166667,0.007971302696,5,9",
+            "ineff_ml,unconstrained,0,0.5,240,1.011666667,0.002763853992,5,9",
+            "ineff_failures,unconstrained,0,0.5,240,0,0,5,9"]),
+        ("protograph", [240], 3, 2, [
+            "ineff_it,protograph,0,0.5,240,1.115277778,0.01111111111,3,2",
+            "ineff_ml,protograph,0,0.5,240,1.015277778,0.002777777778,3,2",
+            "ineff_failures,protograph,0,0.5,240,0,0,3,2"]),
+        ("constant_band", [480], 3, 3, [
+            "ineff_it,constant_band,0,0.5,480,1.115277778,0.008448281292,3,3",
+            "ineff_ml,constant_band,0,0.5,480,1.007638889,0.001837327299,3,3",
+            "ineff_failures,constant_band,0,0.5,480,0,0,3,3"]),
+    ])
+    def test_ineff_sweep_without_decode(self, kind, ks, trials, seed, want):
+        # rows recorded while every trial still decoded at t_ml
+        ens = EnsembleSpec(kind)
+        with mock.patch("bandfec.sim.hybrid_decode", side_effect=AssertionError("decoded")):
+            out = ineff_sweep(ens, ks, trials, seed)
+        assert [row for name in ("it", "ml", "failures")
+                for row in format_rows(f"ineff_{name}", ens, 0, 0.5, out[name], seed)] == want
 
     def test_bler_sweep_extremes(self):
         pts = bler_sweep(EnsembleSpec("band"), 240, [0.0, 0.5], trials=6, master_seed=2)

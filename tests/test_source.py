@@ -83,3 +83,16 @@ def test_print_only_in_cli(path):
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
              and node.func.id == "print"]
     assert not lines, f"{path.name}: print( on line(s) {lines}"
+
+
+SIM = next(p for p in SOURCES if p.name == "sim.py")
+
+
+def test_sim_decodes_only_in_its_decoding_trials():
+    # ineff_sweep's trials take t_it and t_ml without a decode; only the
+    # trials that read a decode's status or op counts call hybrid_decode
+    tree = ast.parse(SIM.read_text(), filename=str(SIM))
+    callers = {(fn.name, node.lineno) for fn in ast.walk(tree)
+               if isinstance(fn, ast.FunctionDef) for node in ast.walk(fn)
+               if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "hybrid_decode"}
+    assert {name for name, _ in callers} == {"inefficiency_trial", "_loss_trial"}, callers
